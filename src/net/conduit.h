@@ -49,10 +49,9 @@ class Conduit {
 
   virtual uint32_t num_sites() const = 0;
 
-  /// True when this conduit actually serializes packets and wants the
-  /// transport to attach a FrameCache to reliable sends so retransmissions
-  /// can replay the first encoding. The sim network ships shared objects and
-  /// keeps the default (no cache, no per-send bookkeeping).
+  /// Vestigial: nothing in src/ reads or overrides this. Kept only because
+  /// the rtbench conduit decorator still overrides it; it goes away with
+  /// that override.
   virtual bool WantsFrameCache() const { return false; }
 };
 

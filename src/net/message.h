@@ -134,35 +134,6 @@ struct PlacementHint {
   }
 };
 
-struct Packet;
-
-/// Encode-once cache for one reliable send: the frame bytes from the first
-/// wire encoding plus a fingerprint of every channel-state field that was
-/// encoded under them. A retransmission whose fingerprint still matches
-/// replays `bytes` verbatim; any drift (ack advanced, hints changed) clears
-/// `bytes` so the conduit re-encodes against current state. Owned by the
-/// transport's pending-send entry — it dies with the entry on cum-ack or
-/// cancel, which is the (dst, seq) keyed eviction. Thread-confined to the
-/// sending site's loop thread, like all per-channel transport state.
-struct FrameCache {
-  std::string bytes;  ///< encoded frame; empty = not (or no longer) cached
-
-  // Fingerprint of the channel state the bytes were encoded under. Payload
-  // and riders are immutable for the lifetime of a pending send, so they
-  // need no entry; everything the transport may restamp per-send does.
-  uint64_t epoch = 0;
-  uint64_t seq_base = 0;
-  bool has_ack = false;
-  uint64_t ack_epoch = 0;
-  uint64_t ack_cum = 0;
-  std::vector<PlacementHint> hints;
-
-  inline bool Matches(const Packet& p) const;
-  inline void Fingerprint(const Packet& p);
-};
-
-using FrameCachePtr = std::shared_ptr<FrameCache>;
-
 /// A packet in flight.
 struct Packet {
   SiteId src;
@@ -200,26 +171,7 @@ struct Packet {
   /// Piggybacked placement advertisements (Transport::Options::
   /// max_frame_hints); advisory channel state like the ack, not payload.
   std::vector<PlacementHint> hints;
-
-  /// Encode-once slot, set by the transport for reliable sends when the
-  /// conduit opted in (Conduit::WantsFrameCache). Null everywhere else —
-  /// the sim network ships packets as shared objects and never encodes.
-  FrameCachePtr frame_cache;
 };
-
-inline bool FrameCache::Matches(const Packet& p) const {
-  return epoch == p.epoch && seq_base == p.seq_base && has_ack == p.has_ack &&
-         ack_epoch == p.ack_epoch && ack_cum == p.ack_cum && hints == p.hints;
-}
-
-inline void FrameCache::Fingerprint(const Packet& p) {
-  epoch = p.epoch;
-  seq_base = p.seq_base;
-  has_ack = p.has_ack;
-  ack_epoch = p.ack_epoch;
-  ack_cum = p.ack_cum;
-  hints = p.hints;
-}
 
 /// Modeled wire-size constants for the non-payload parts of a packet.
 inline constexpr size_t kPacketHeaderBytes = 32;  ///< src,dst,class,epoch,seqs

@@ -41,7 +41,8 @@ std::string EncodePacket(const net::Packet& packet);
 /// Appends a whole frame (fixed32 CRC + body) to *out, byte-for-byte equal to
 /// EncodePacket. `scratch` is a caller-owned buffer reused for nested
 /// envelope blobs; with warmed capacities in *out and *scratch the call
-/// performs zero heap allocations — the transport fast path depends on that.
+/// performs zero heap allocations — the real runtime's send path relies on
+/// that.
 void EncodePacketTo(const net::Packet& packet, std::string* out,
                     std::string* scratch);
 

@@ -285,21 +285,14 @@ void UdpConduit::SendNow(uint32_t src, uint32_t dst, const char* data,
   }
 }
 
-void UdpConduit::StageOrSend(uint32_t src, uint32_t dst, const char* data,
-                             size_t len) {
-#ifdef __linux__
-  if (options_.batch_io && loops_[src]->running() &&
-      loops_[src]->OnLoopThread()) {
-    SendState& st = *send_states_[src];
-    size_t cap_before = st.batch.capacity();
-    size_t off = st.batch.size();
-    st.batch.append(data, len);
-    NoteBufferGrowth(cap_before, st.batch.capacity());
-    st.staged.push_back(SendState::Range{off, len, dst});
-    return;
-  }
-#endif
-  SendNow(src, dst, data, len);
+void UdpConduit::Stage(uint32_t src, uint32_t dst, const char* data,
+                       size_t len) {
+  SendState& st = *send_states_[src];
+  size_t cap_before = st.batch.capacity();
+  size_t off = st.batch.size();
+  st.batch.append(data, len);
+  NoteBufferGrowth(cap_before, st.batch.capacity());
+  st.staged.push_back(SendState::Range{off, len, dst});
 }
 
 void UdpConduit::FlushSends(uint32_t site) {
@@ -365,10 +358,10 @@ void UdpConduit::Send(net::Packet packet) {
   if (DropInjected()) return;
   uint32_t src = packet.src.value();
   uint32_t dst = packet.dst.value();
-  if (!options_.frame_cache || !loops_[src]->OnLoopThread()) {
-    // Legacy path (also the thread-safe one for foreign-thread callers in
-    // tests): fresh heap string per frame, exactly the PR 9 cost model the
-    // latency bench uses as its baseline.
+  if (!loops_[src]->OnLoopThread()) {
+    // Foreign-thread caller (tests, benchmarks): the per-site scratch
+    // belongs to the loop thread, so encode into a local string and send
+    // now.
     std::string frame = proto::EncodePacket(packet);
     frames_encoded_.fetch_add(1, std::memory_order_relaxed);
     frame_buffer_allocs_.fetch_add(1, std::memory_order_relaxed);
@@ -376,42 +369,27 @@ void UdpConduit::Send(net::Packet packet) {
       oversize_frames_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    if (loops_[src]->OnLoopThread()) {
-      StageOrSend(src, dst, frame.data(), frame.size());
-    } else {
-      SendNow(src, dst, frame.data(), frame.size());
-    }
+    SendNow(src, dst, frame.data(), frame.size());
     return;
   }
+  // Every frame is encoded against the channel state stamped on it just now
+  // (piggyback ack, seq_base, hints), retransmissions included.
   SendState& st = *send_states_[src];
-  net::FrameCache* fc = packet.frame_cache.get();
-  const std::string* bytes;
-  if (fc && !fc->bytes.empty()) {
-    // Encode-once payoff: a retransmission whose channel-state fingerprint
-    // still matches (the transport validated it in SendOnWire) replays the
-    // first encoding byte for byte.
-    frame_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    bytes = &fc->bytes;
-  } else {
-    std::string* out = fc ? &fc->bytes : &st.frame;
-    size_t cap_before = out->capacity() + st.env_scratch.capacity();
-    out->clear();
-    proto::EncodePacketTo(packet, out, &st.env_scratch);
-    NoteBufferGrowth(cap_before, out->capacity() + st.env_scratch.capacity());
-    frames_encoded_.fetch_add(1, std::memory_order_relaxed);
-    bytes = out;
-  }
-  if (bytes->size() > kMaxDatagram) {
+  size_t cap_before = st.frame.capacity() + st.env_scratch.capacity();
+  st.frame.clear();
+  proto::EncodePacketTo(packet, &st.frame, &st.env_scratch);
+  NoteBufferGrowth(cap_before, st.frame.capacity() + st.env_scratch.capacity());
+  frames_encoded_.fetch_add(1, std::memory_order_relaxed);
+  if (st.frame.size() > kMaxDatagram) {
     oversize_frames_.fetch_add(1, std::memory_order_relaxed);
-    if (fc) fc->bytes.clear();  // never replay an unsendable frame
     return;
   }
-  StageOrSend(src, dst, bytes->data(), bytes->size());
+  Stage(src, dst, st.frame.data(), st.frame.size());
 }
 
 void UdpConduit::Broadcast(SiteId src, net::EnvelopePtr payload) {
   uint32_t s = src.value();
-  if (!options_.frame_cache || !loops_[s]->OnLoopThread()) {
+  if (!loops_[s]->OnLoopThread()) {
     for (uint32_t d = 0; d < num_sites(); ++d) {
       if (d == s) continue;
       broadcast_legs_.fetch_add(1, std::memory_order_relaxed);
@@ -426,9 +404,9 @@ void UdpConduit::Broadcast(SiteId src, net::EnvelopePtr payload) {
     }
     return;
   }
-  // Fast path: CRC | src | dst | rest — only dst and the checksum differ per
-  // leg, so the rest (including the payload envelope) is encoded exactly
-  // once into the shared tail and spliced per destination.
+  // CRC | src | dst | rest — only dst and the checksum differ per leg, so
+  // the rest (including the payload envelope) is encoded exactly once into
+  // the shared tail and spliced per destination.
   SendState& st = *send_states_[s];
   net::Packet p;
   p.src = src;
@@ -458,7 +436,7 @@ void UdpConduit::Broadcast(SiteId src, net::EnvelopePtr payload) {
       oversize_frames_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    StageOrSend(s, d, st.frame.data(), st.frame.size());
+    Stage(s, d, st.frame.data(), st.frame.size());
   }
 }
 
@@ -466,7 +444,12 @@ void UdpConduit::HandleFrame(uint32_t site, const char* data, size_t len) {
   datagrams_received_.fetch_add(1, std::memory_order_relaxed);
   StatusOr<net::Packet> packet =
       proto::DecodePacket(std::string_view(data, len));
-  if (!packet.ok()) {
+  // The CRC only proves the bytes are intact, not that a peer sent them: any
+  // local process can reach this port. A frame must name another site as
+  // its source and this site as its destination, or the transport would
+  // keep channel state for (and ack) a site that does not exist.
+  if (!packet.ok() || packet->src.value() >= num_sites() ||
+      packet->src.value() == site || packet->dst.value() != site) {
     decode_errors_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -487,37 +470,35 @@ void UdpConduit::RegisterEndpoint(SiteId site, net::DeliveryFn deliver,
 
 void UdpConduit::DrainSocket(uint32_t site) {
 #ifdef __linux__
-  if (options_.batch_io) {
-    RecvState& rs = *recv_states_[site];
-    if (rs.bufs.empty()) {
-      // First drain on this socket: size the reused buffer set once.
-      rs.bufs.resize(RecvState::kBatch * RecvState::kBufSize);
-      for (int i = 0; i < RecvState::kBatch; ++i) {
-        rs.iovs[i].iov_base = rs.bufs.data() + i * RecvState::kBufSize;
-        rs.iovs[i].iov_len = RecvState::kBufSize;
-        rs.msgs[i] = mmsghdr{};
-        rs.msgs[i].msg_hdr.msg_iov = &rs.iovs[i];
-        rs.msgs[i].msg_hdr.msg_iovlen = 1;
-      }
-    }
-    for (;;) {
-      int n = ::recvmmsg(fds_[site], rs.msgs, RecvState::kBatch, MSG_DONTWAIT,
-                         nullptr);
-      recv_syscalls_.fetch_add(1, std::memory_order_relaxed);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return;  // EAGAIN (drained) or transient error: treat as loss
-      }
-      for (int i = 0; i < n; ++i) {
-        HandleFrame(site,
-                    rs.bufs.data() + static_cast<size_t>(i) *
-                                         RecvState::kBufSize,
-                    rs.msgs[i].msg_len);
-      }
-      if (n < RecvState::kBatch) return;  // socket drained
+  RecvState& rs = *recv_states_[site];
+  if (rs.bufs.empty()) {
+    // First drain on this socket: size the reused buffer set once.
+    rs.bufs.resize(RecvState::kBatch * RecvState::kBufSize);
+    for (int i = 0; i < RecvState::kBatch; ++i) {
+      rs.iovs[i].iov_base = rs.bufs.data() + i * RecvState::kBufSize;
+      rs.iovs[i].iov_len = RecvState::kBufSize;
+      rs.msgs[i] = mmsghdr{};
+      rs.msgs[i].msg_hdr.msg_iov = &rs.iovs[i];
+      rs.msgs[i].msg_hdr.msg_iovlen = 1;
     }
   }
-#endif
+  for (;;) {
+    int n = ::recvmmsg(fds_[site], rs.msgs, RecvState::kBatch, MSG_DONTWAIT,
+                       nullptr);
+    recv_syscalls_.fetch_add(1, std::memory_order_relaxed);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return;  // EAGAIN (drained) or transient error: treat as loss
+    }
+    for (int i = 0; i < n; ++i) {
+      HandleFrame(site,
+                  rs.bufs.data() +
+                      static_cast<size_t>(i) * RecvState::kBufSize,
+                  rs.msgs[i].msg_len);
+    }
+    if (n < RecvState::kBatch) return;  // socket drained
+  }
+#else
   char buf[65536];
   for (;;) {
     ssize_t n = ::recv(fds_[site], buf, sizeof buf, 0);
@@ -529,6 +510,7 @@ void UdpConduit::DrainSocket(uint32_t site) {
     }
     HandleFrame(site, buf, static_cast<size_t>(n));
   }
+#endif
 }
 
 uint16_t UdpConduit::port(SiteId site) const {
@@ -550,7 +532,6 @@ UdpConduit::Stats UdpConduit::stats() const {
   s.send_syscalls = send_syscalls_.load(std::memory_order_relaxed);
   s.recv_syscalls = recv_syscalls_.load(std::memory_order_relaxed);
   s.frames_encoded = frames_encoded_.load(std::memory_order_relaxed);
-  s.frame_cache_hits = frame_cache_hits_.load(std::memory_order_relaxed);
   s.broadcast_legs = broadcast_legs_.load(std::memory_order_relaxed);
   s.broadcast_payload_encodes =
       broadcast_payload_encodes_.load(std::memory_order_relaxed);
@@ -575,7 +556,6 @@ void UdpConduit::ExportStats(obs::MetricsRegistry* metrics) const {
   set("udp.send_syscalls", s.send_syscalls);
   set("udp.recv_syscalls", s.recv_syscalls);
   set("udp.frames_encoded", s.frames_encoded);
-  set("udp.frame_cache_hits", s.frame_cache_hits);
   set("udp.broadcast_legs", s.broadcast_legs);
   set("udp.broadcast_payload_encodes", s.broadcast_payload_encodes);
   set("udp.frame_buffer_allocs", s.frame_buffer_allocs);

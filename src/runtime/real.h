@@ -144,8 +144,9 @@ class EventLoop final : public Runtime {
 /// site, packets framed by proto::EncodePacket/DecodePacket. A site's
 /// datagrams are received and decoded on that site's own loop thread, so
 /// delivery lands in the protocol exactly where a kernel delivery event
-/// would. Loss is real (and injectable); a frame that fails to decode is
-/// dropped silently — precisely the paper's lossy-channel model.
+/// would. Loss is real (and injectable); a frame that fails to decode, or
+/// that does not travel from a peer site to this one, is dropped silently —
+/// precisely the paper's lossy-channel model.
 class UdpConduit final : public net::Conduit {
  public:
   struct Options {
@@ -153,20 +154,6 @@ class UdpConduit final : public net::Conduit {
     /// (0 = off). Counter-based, so a fixed workload sees a fixed drop
     /// pattern — the real-runtime analogue of the sim's loss probability.
     uint64_t drop_one_in = 0;
-    /// Batched syscalls: stage outgoing datagrams per loop iteration and
-    /// drain them through one sendmmsg() before the loop blocks; read with
-    /// recvmmsg() into a reused buffer set. Off = one sendto()/recv() per
-    /// datagram (the portability fallback, also the PR 9 baseline the
-    /// latency bench compares against). Non-Linux builds always take the
-    /// single-shot path regardless of this flag.
-    bool batch_io = true;
-    /// Encode-once: answer WantsFrameCache so the transport attaches a
-    /// FrameCache to reliable sends (retransmissions replay the first
-    /// encoding), encode broadcast fan-outs once and patch only the
-    /// destination, and reuse per-site scratch buffers so the steady-state
-    /// datagram path allocates nothing. Off = every send encodes into a
-    /// fresh heap string (the PR 9 baseline).
-    bool frame_cache = true;
   };
 
   struct Stats {
@@ -176,12 +163,15 @@ class UdpConduit final : public net::Conduit {
     uint64_t send_soft_errors = 0;  ///< EAGAIN/ENOBUFS backpressure drops
     uint64_t oversize_frames = 0;   ///< frames > kMaxDatagram, never sent
     uint64_t datagrams_received = 0;
-    uint64_t decode_errors = 0;  ///< frames rejected by the codec
+    uint64_t decode_errors = 0;  ///< frames rejected on receipt (codec
+                                 ///< failure, or src/dst not a valid peer)
     uint64_t dropped_down = 0;   ///< destination's is_up() said no
     uint64_t send_syscalls = 0;  ///< sendto + sendmmsg calls
     uint64_t recv_syscalls = 0;  ///< recv + recvmmsg calls
     uint64_t frames_encoded = 0;     ///< actual EncodePacket* executions
-    uint64_t frame_cache_hits = 0;   ///< sends that replayed cached bytes
+    /// Always 0: nothing in src/ reads or writes it. Kept only because
+    /// rtbench/main.cc still reads it; it goes away with that read.
+    uint64_t frame_cache_hits = 0;
     uint64_t broadcast_legs = 0;     ///< fan-out destinations attempted
     uint64_t broadcast_payload_encodes = 0;  ///< shared tails built (once
                                              ///< per fan-out, not per leg)
@@ -201,13 +191,12 @@ class UdpConduit final : public net::Conduit {
   void Send(net::Packet packet) override;
   /// Best-effort datagram fan-out. NOT the sim's loss-free atomic ordered
   /// broadcast — Conc2 soundness does not carry over (see net/conduit.h).
-  /// With Options::frame_cache the shared body is encoded once and only the
+  /// On the loop thread the shared body is encoded once and only the
   /// destination field (and checksum) is patched per leg.
   void Broadcast(SiteId src, net::EnvelopePtr payload) override;
   uint32_t num_sites() const override {
     return static_cast<uint32_t>(loops_.size());
   }
-  bool WantsFrameCache() const override { return options_.frame_cache; }
 
   uint16_t port(SiteId site) const;
   Stats stats() const;
@@ -229,8 +218,7 @@ class UdpConduit final : public net::Conduit {
   /// steady-state path stops allocating.
   struct SendState {
     /// Staged outgoing datagrams, contiguous. Frames are copied in at stage
-    /// time (not referenced) so a pending-send cache entry freed before the
-    /// flush — cum-acked or cancelled — can never dangle under an iovec.
+    /// time because `frame` is re-encoded by the very next send.
     std::string batch;
     struct Range {
       size_t off;
@@ -238,23 +226,24 @@ class UdpConduit final : public net::Conduit {
       uint32_t dst;
     };
     std::vector<Range> staged;
-    std::string frame;        ///< encode target for uncached frames
+    std::string frame;        ///< encode target, one frame at a time
     std::string env_scratch;  ///< nested envelope blobs (codec scratch)
     std::string bcast_tail;   ///< shared broadcast body (after dst field)
   };
 
   /// Reads every pending datagram off `site`'s socket (loop thread only).
   void DrainSocket(uint32_t site);
-  /// Decode + deliver one received frame (shared by both I/O modes).
+  /// Decode, validate and deliver one received frame.
   void HandleFrame(uint32_t site, const char* data, size_t len);
   /// True when the packet was claimed by injected drop (counter bumped).
   bool DropInjected();
-  /// Stages `len` bytes for dst (batched mode on the loop thread) or sends
-  /// them immediately (fallback mode, foreign threads, stopped loops).
-  void StageOrSend(uint32_t src, uint32_t dst, const char* data, size_t len);
+  /// Copies `len` bytes into src's batch for the next FlushSends (loop
+  /// thread only).
+  void Stage(uint32_t src, uint32_t dst, const char* data, size_t len);
   /// One classified sendto: EINTR retried, EAGAIN/ENOBUFS soft, rest hard.
   void SendNow(uint32_t src, uint32_t dst, const char* data, size_t len);
-  /// Drains site's staged datagrams through sendmmsg (pre-poll hook).
+  /// Drains site's staged datagrams through sendmmsg, or one sendto each
+  /// off Linux (pre-poll hook).
   void FlushSends(uint32_t site);
   /// Tracks capacity growth of a reused buffer across an append/encode.
   void NoteBufferGrowth(size_t cap_before, size_t cap_after);
@@ -281,7 +270,6 @@ class UdpConduit final : public net::Conduit {
   std::atomic<uint64_t> send_syscalls_{0};
   std::atomic<uint64_t> recv_syscalls_{0};
   std::atomic<uint64_t> frames_encoded_{0};
-  std::atomic<uint64_t> frame_cache_hits_{0};
   std::atomic<uint64_t> broadcast_legs_{0};
   std::atomic<uint64_t> broadcast_payload_encodes_{0};
   std::atomic<uint64_t> frame_buffer_allocs_{0};

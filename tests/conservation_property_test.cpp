@@ -41,6 +41,11 @@ struct ConsCase {
   bool partitions;
 };
 
+// gtest's default printer dumps the struct's bytes, which include the address
+// of `name` and so change from build to build; print the seed instead so the
+// test names stay stable.
+void PrintTo(const ConsCase& c, std::ostream* os) { *os << "seed=" << c.seed; }
+
 class ConservationChaosTest : public ::testing::TestWithParam<ConsCase> {};
 
 TEST_P(ConservationChaosTest, InvariantHoldsAfterEveryEvent) {

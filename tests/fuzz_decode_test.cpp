@@ -456,9 +456,9 @@ TEST_P(PacketCodecFuzzTest, RandomPacketsRoundTrip) {
   for (int trial = 0; trial < 300; ++trial) {
     net::Packet p = RandomPacket(rng);
     std::string frame = proto::EncodePacket(p);
-    // The append-style APIs the fast path uses must be byte-identical to the
-    // fresh-string encoder for every packet shape the fuzzer can produce —
-    // the frame cache replays these bytes verbatim on retransmission.
+    // The append-style APIs the loop-thread send path uses must be
+    // byte-identical to the fresh-string encoder (which foreign-thread sends
+    // use) for every packet shape the fuzzer can produce.
     std::string appended = "prefix";
     std::string scratch;
     proto::EncodePacketTo(p, &appended, &scratch);

@@ -702,208 +702,6 @@ TEST_F(TransportTest, CrashDropsStagedMessages) {
   EXPECT_EQ(network_->stats().packets_sent, 0u);
 }
 
-// ---- Frame cache (encode-once retransmission) -------------------------------
-//
-// A conduit that opts into the encode-once frame cache and mirrors the UDP
-// conduit's discipline exactly: a packet arriving with non-empty cached bytes
-// is replayed verbatim (a hit); otherwise it is encoded through the codec's
-// append API, into the cache when one is attached. Every frame is then
-// decoded and (optionally) delivered, so byte-level correctness is enforced
-// on the same path the real runtime uses.
-class CachingConduit final : public Conduit {
- public:
-  explicit CachingConduit(sim::Kernel* kernel) : kernel_(kernel) {}
-
-  struct Record {
-    Packet packet;      // as sent; frame_cache stripped (held weakly below)
-    std::string bytes;  // what went on the wire
-    bool had_cache = false;
-    bool was_hit = false;
-  };
-
-  bool WantsFrameCache() const override { return true; }
-
-  void RegisterEndpoint(SiteId site, DeliveryFn deliver,
-                        std::function<bool()> /*is_up*/) override {
-    if (endpoints_.size() <= site.value()) {
-      endpoints_.resize(site.value() + 1);
-      deliver_to_.resize(site.value() + 1, true);
-      drop_next_to_.resize(site.value() + 1, 0);
-    }
-    endpoints_[site.value()] = std::move(deliver);
-  }
-
-  void Send(Packet p) override {
-    Record rec;
-    rec.had_cache = p.frame_cache != nullptr;
-    if (p.frame_cache && !p.frame_cache->bytes.empty()) {
-      rec.was_hit = true;
-      rec.bytes = p.frame_cache->bytes;
-      ++hits_;
-    } else {
-      std::string scratch;
-      if (p.frame_cache) {
-        proto::EncodePacketTo(p, &p.frame_cache->bytes, &scratch);
-        rec.bytes = p.frame_cache->bytes;
-      } else {
-        proto::EncodePacketTo(p, &rec.bytes, &scratch);
-      }
-      ++encodes_;
-    }
-    caches_.push_back(p.frame_cache);  // weak: eviction is observable
-    rec.packet = std::move(p);
-    rec.packet.frame_cache.reset();
-    uint32_t d = rec.packet.dst.value();
-    std::string bytes = rec.bytes;
-    sent_.push_back(std::move(rec));
-    if (d >= endpoints_.size() || !deliver_to_[d]) return;
-    if (drop_next_to_[d] > 0) {
-      --drop_next_to_[d];
-      return;
-    }
-    kernel_->Schedule(1'000, [this, d, bytes = std::move(bytes)]() {
-      auto decoded = proto::DecodePacket(bytes);
-      if (!decoded.ok()) {
-        ++decode_failures_;
-        return;
-      }
-      endpoints_[d](*decoded);
-    });
-  }
-
-  void Broadcast(SiteId, EnvelopePtr) override {}
-  uint32_t num_sites() const override {
-    return static_cast<uint32_t>(endpoints_.size());
-  }
-
-  sim::Kernel* kernel_;
-  std::vector<DeliveryFn> endpoints_;
-  std::vector<bool> deliver_to_;
-  std::vector<uint64_t> drop_next_to_;
-  std::vector<Record> sent_;
-  std::vector<std::weak_ptr<FrameCache>> caches_;
-  uint64_t hits_ = 0;
-  uint64_t encodes_ = 0;
-  uint64_t decode_failures_ = 0;
-};
-
-class FrameCacheTransportTest : public ::testing::Test {
- protected:
-  FrameCacheTransportTest() { Build(/*coalesce=*/false); }
-
-  void Build(bool coalesce) {
-    conduit_ = std::make_unique<CachingConduit>(&kernel_);
-    Transport::Options opts;
-    opts.rto_us = 10'000;
-    opts.ack_delay_us = 2'000;
-    opts.coalesce = coalesce;
-    for (uint32_t s = 0; s < 2; ++s) {
-      transport_[s] = std::make_unique<Transport>(
-          &kernel_, conduit_.get(), SiteId(s), &counters_[s], opts);
-      Transport* t = transport_[s].get();
-      conduit_->RegisterEndpoint(
-          SiteId(s), [t](const Packet& p) { t->OnPacket(p); },
-          []() { return true; });
-      transport_[s]->set_deliver_fn([this, s](SiteId, EnvelopePtr payload) {
-        received_[s].push_back(static_cast<int>(
-            static_cast<const proto::VmAckMsg*>(payload.get())->vm.value()));
-        return true;
-      });
-      transport_[s]->set_ack_fn(
-          [this, s](uint64_t token) { acked_[s].push_back(token); });
-    }
-  }
-
-  static EnvelopePtr Msg(int v) {
-    auto m = MakeEnvelope<proto::VmAckMsg>();
-    m->vm = VmId(uint64_t(v));
-    m->from = SiteId(0);
-    m->ts_packed = 100 + uint64_t(v);
-    return m;
-  }
-
-  /// Every cached frame that went on the wire must be byte-identical to a
-  /// from-scratch encode of the packet it claimed to carry — replayed or not.
-  void ExpectWireMatchesFreshEncode() {
-    for (const auto& rec : conduit_->sent_) {
-      EXPECT_EQ(rec.bytes, proto::EncodePacket(rec.packet))
-          << (rec.was_hit ? "replayed" : "encoded") << " frame diverged";
-    }
-  }
-
-  sim::Kernel kernel_;
-  std::unique_ptr<CachingConduit> conduit_;
-  std::unique_ptr<Transport> transport_[2];
-  obs::MetricsRegistry counters_[2];
-  std::vector<int> received_[2];
-  std::vector<uint64_t> acked_[2];
-};
-
-TEST_F(FrameCacheTransportTest,
-       RetransmissionsReplayCachedBytesWhileStateIsUnchanged) {
-  conduit_->deliver_to_[1] = false;  // black hole: no acks, endless RTOs
-  transport_[0]->SendReliable(SiteId(1), 7, Msg(1));
-  kernel_.Run(100'000);
-  EXPECT_GE(transport_[0]->retransmissions(), 2u);
-  // No reverse traffic, so the fingerprint never drifts: exactly one encode,
-  // every retransmission a verbatim replay.
-  EXPECT_EQ(conduit_->encodes_, 1u);
-  EXPECT_EQ(conduit_->hits_, transport_[0]->retransmissions());
-  EXPECT_EQ(transport_[0]->frame_cache_invalidations(), 0u);
-  EXPECT_EQ(counters_[0].Get("transport.frame_cache_invalidate"), 0u);
-  ExpectWireMatchesFreshEncode();
-  // Cancel evicts the pending send and with it the cache entry.
-  ASSERT_FALSE(conduit_->caches_.empty());
-  EXPECT_FALSE(conduit_->caches_[0].expired());
-  transport_[0]->CancelReliable(7);
-  EXPECT_TRUE(conduit_->caches_[0].expired());
-}
-
-TEST_F(FrameCacheTransportTest, AckDriftInvalidatesAndReencodes) {
-  conduit_->drop_next_to_[1] = 1;  // lose the first copy of A
-  transport_[0]->SendReliable(SiteId(1), 7, Msg(1));
-  // Reverse reliable traffic before A's RTO: site 0 now owes an ack, so the
-  // retransmitted A carries a piggyback ack its cached bytes do not.
-  kernel_.Schedule(3'000, [this]() {
-    transport_[1]->SendReliable(SiteId(0), 9, Msg(2));
-  });
-  kernel_.Run(200'000);
-  EXPECT_EQ(received_[1], (std::vector<int>{1}));
-  EXPECT_EQ(received_[0], (std::vector<int>{2}));
-  EXPECT_EQ(conduit_->decode_failures_, 0u);
-  // The retransmission found stale cached bytes, discarded them (counted),
-  // and re-encoded under the new fingerprint — never replayed stale state.
-  EXPECT_GE(transport_[0]->frame_cache_invalidations(), 1u);
-  EXPECT_GE(counters_[0].Get("transport.frame_cache_invalidate"), 1u);
-  ExpectWireMatchesFreshEncode();
-}
-
-TEST_F(FrameCacheTransportTest, CumulativeAckEvictsTheCacheEntry) {
-  transport_[0]->SendReliable(SiteId(1), 7, Msg(1));
-  kernel_.Run(100'000);
-  EXPECT_EQ(acked_[0], (std::vector<uint64_t>{7}));
-  EXPECT_EQ(transport_[0]->outstanding(), 0u);
-  ASSERT_FALSE(conduit_->caches_.empty());
-  // The pending send is gone, and the cache entry died with it.
-  EXPECT_TRUE(conduit_->caches_[0].expired());
-  ExpectWireMatchesFreshEncode();
-}
-
-TEST_F(FrameCacheTransportTest, CoalescedFramesCarryNoCache) {
-  Build(/*coalesce=*/true);
-  conduit_->deliver_to_[1] = false;
-  transport_[0]->SendReliable(SiteId(1), 7, Msg(1));
-  transport_[0]->SendReliable(SiteId(1), 8, Msg(2));  // same flush quantum
-  kernel_.Run(5'000);
-  ASSERT_FALSE(conduit_->sent_.empty());
-  const auto& first = conduit_->sent_[0];
-  ASSERT_EQ(first.packet.extra.size(), 1u);
-  // A frame with riders is a different byte string from any single-message
-  // frame, so it must never reuse (or populate) a message's encode slot.
-  EXPECT_FALSE(first.had_cache);
-  ExpectWireMatchesFreshEncode();
-}
-
 TEST(TransportDeathTest, TokenCollisionFailsLoudly) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   sim::Kernel kernel;

@@ -41,6 +41,14 @@ struct NbCase {
   bool crash_remotes;
 };
 
+// gtest's default printer dumps the struct's bytes, which include the address
+// of `name` and so change from build to build; print the fields instead so
+// the test names stay stable.
+void PrintTo(const NbCase& c, std::ostream* os) {
+  *os << "{" << c.loss_permille << ", " << c.flap_period_us << ", "
+      << (c.crash_remotes ? "true" : "false") << "}";
+}
+
 class NonBlockingTest : public ::testing::TestWithParam<NbCase> {};
 
 TEST_P(NonBlockingTest, EveryDecisionWithinBound) {
