@@ -21,7 +21,7 @@ constexpr SimTime kRun = 40'000'000;
 
 struct Row {
   workload::WorkloadResults results;
-  CounterSet counters;
+  obs::MetricsRegistry counters;
   std::string serializable;
   std::map<ItemId, core::Value> final_totals;
 };
@@ -138,7 +138,7 @@ void Main() {
       }
     });
     auto results = driver.Run(kRun);
-    CounterSet counters = cluster.AggregateCounters();
+    obs::MetricsRegistry counters = cluster.AggregateCounters();
     ab.AddRow(mode == cc::AcceptStampMode::kCreationTs ? "creation ts"
                                                        : "fresh local",
               Pct(results.commit_rate()), counters.Get("req.ignored.cc"),

@@ -227,7 +227,7 @@ SkewOutcome RunSkew(GatherMode mode) {
   }
   cluster.RunFor(kSkewRun + kSkewDrain);
 
-  CounterSet counters = cluster.AggregateCounters();
+  obs::MetricsRegistry counters = cluster.AggregateCounters();
   out.req_msgs = counters.Get("req.msgs");
   out.rebalance_pushes = counters.Get("placement.rebalance.push");
   out.packets = cluster.network().stats().packets_sent;

@@ -49,7 +49,7 @@ void Main(const std::string& json_path) {
       for (uint32_t s = 0; s < n; ++s) {
         forces += cluster.storage(SiteId(s)).forces();
       }
-      CounterSet counters = cluster.AggregateCounters();
+      obs::MetricsRegistry counters = cluster.AggregateCounters();
       double commits = double(std::max<uint64_t>(1, r.committed()));
       table.AddRow(n, "DvP", Pct(r.commit_rate()), double(forces) / commits,
                    double(counters.Get("net.sent")) / commits,

@@ -126,7 +126,7 @@ Outcome RunDvp(double read_mix, uint64_t seed, bool snapshot) {
   out.read_p50_us = read_latency.Median();
   out.read_p99_us = read_latency.P99();
   out.read_rounds_p50 = read_rounds.Median();
-  CounterSet counters = cluster.AggregateCounters();
+  obs::MetricsRegistry counters = cluster.AggregateCounters();
   out.msgs = counters.Get("net.sent");
   out.snap_unbalanced_rounds = counters.Get("snapshot.rounds.unbalanced");
   out.snap_cut_forced = counters.Get("snapshot.cut_forced");

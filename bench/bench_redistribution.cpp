@@ -99,7 +99,7 @@ void Main() {
       workload::WorkloadDriver driver(&adapter, items, w);
       auto results = driver.Run(kRun);
 
-      CounterSet counters = cluster.AggregateCounters();
+      obs::MetricsRegistry counters = cluster.AggregateCounters();
       double commits = double(std::max<uint64_t>(1, results.committed()));
       double timeout_pct = 0;
       if (auto it = results.outcomes.find(txn::TxnOutcome::kAbortTimeout);
@@ -152,7 +152,7 @@ void Main() {
     workload::WorkloadDriver driver(&adapter, items, w);
     auto results = driver.Run(kRun);
 
-    CounterSet counters = cluster.AggregateCounters();
+    obs::MetricsRegistry counters = cluster.AggregateCounters();
     double commits = double(std::max<uint64_t>(1, results.committed()));
     // Value that physically moved between sites: an n-way ask for the full
     // shortfall ships up to n× the need (over-shipping).

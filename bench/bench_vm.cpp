@@ -63,7 +63,7 @@ void SweepLoss(JsonMetrics* metrics) {
       pure += t->pure_acks();
       piggy += t->piggyback_acks();
     }
-    CounterSet counters = cluster.AggregateCounters();
+    obs::MetricsRegistry counters = cluster.AggregateCounters();
     uint64_t created = counters.Get("vm.created");
     uint64_t accepted = counters.Get("vm.accepted");
     uint64_t live = 0;

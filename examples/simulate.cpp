@@ -234,11 +234,18 @@ int main(int argc, char** argv) {
   std::cout << "decision latency max " << results.decision_latency_us.max()
             << " us (non-blocking bound)\n";
 
-  CounterSet counters = cluster.AggregateCounters();
+  obs::MetricsRegistry counters = cluster.AggregateCounters();
   std::cout << "\nmessages sent " << counters.Get("net.sent")
             << ", vm created " << counters.Get("vm.created")
             << ", vm accepted " << counters.Get("vm.accepted") << "\n";
-  if (flags.verbose) std::cout << counters.ToString() << "\n";
+  if (flags.verbose) {
+    const char* sep = "";
+    for (const auto& [name, c] : counters.counters()) {
+      std::cout << sep << name << "=" << c.value();
+      sep = " ";
+    }
+    std::cout << "\n";
+  }
 
   std::cout << "\nitem totals:";
   for (ItemId item : items) std::cout << " " << cluster.TotalOf(item);

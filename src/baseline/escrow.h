@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "common/histogram.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "dvpcore/domain.h"

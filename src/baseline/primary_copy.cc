@@ -36,7 +36,7 @@ struct PrimaryCopyCluster::SiteState {
   bool up = false;
   uint64_t generation = 0;
   uint64_t next_txn = 1;
-  CounterSet counters;
+  obs::MetricsRegistry metrics;
   std::map<ItemId, core::Value> values;  // only items this site is primary of
   std::map<TxnId, Waiting> waiting;
 
@@ -70,13 +70,14 @@ struct PrimaryCopyCluster::SiteState {
           if (it->second < op.amount) {
             reply->committed = false;
             reply->message = "insufficient value";
-            counters.Inc("pc.txn.insufficient");
+            metrics.counter("pc.txn.insufficient")->Inc();
             return;
           }
           rec.writes.push_back(wal::FragmentWrite{
               op.item, it->second - op.amount, -op.amount, 0});
           break;
         case txn::TxnOp::Kind::kReadFull:
+        case txn::TxnOp::Kind::kReadSnapshot:  // the primary's value is exact
           reply->read_values[op.item] = it->second;
           break;
       }
@@ -84,7 +85,7 @@ struct PrimaryCopyCluster::SiteState {
     storage->Append(wal::LogRecord(rec));
     for (const auto& w : rec.writes) values[w.item] = w.post_value;
     reply->committed = true;
-    counters.Inc("pc.txn.committed");
+    metrics.counter("pc.txn.committed")->Inc();
   }
 
   void OnEnvelope(SiteId from, const net::EnvelopePtr& payload) {
@@ -199,7 +200,7 @@ StatusOr<TxnId> PrimaryCopyCluster::Submit(SiteId at, const txn::TxnSpec& spec,
     if (it == raw->waiting.end()) return;
     SiteState::Waiting w = std::move(it->second);
     raw->waiting.erase(it);
-    raw->counters.Inc("pc.txn.timeout");
+    raw->metrics.counter("pc.txn.timeout")->Inc();
     txn::TxnResult result;
     result.id = txn;
     result.outcome = txn::TxnOutcome::kAbortTimeout;
@@ -263,9 +264,9 @@ core::Value PrimaryCopyCluster::PrimaryValue(ItemId item) const {
   return it == st.values.end() ? 0 : it->second;
 }
 
-CounterSet PrimaryCopyCluster::AggregateCounters() const {
-  CounterSet out;
-  for (const auto& s : sites_) out.Merge(s->counters);
+obs::MetricsRegistry PrimaryCopyCluster::AggregateCounters() const {
+  obs::MetricsRegistry out;
+  for (const auto& s : sites_) out.AddCounters(s->metrics);
   return out;
 }
 

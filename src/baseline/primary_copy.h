@@ -18,6 +18,7 @@
 #include "common/types.h"
 #include "dvpcore/catalog.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "sim/kernel.h"
 #include "txn/txn.h"
 #include "wal/stable_storage.h"
@@ -59,7 +60,8 @@ class PrimaryCopyCluster {
   void RecoverSite(SiteId s);
 
   core::Value PrimaryValue(ItemId item) const;
-  CounterSet AggregateCounters() const;
+  /// Sum of every site's non-zero counters (MetricsRegistry::AddCounters).
+  obs::MetricsRegistry AggregateCounters() const;
   const Histogram& decision_latency() const { return decision_latency_; }
   uint32_t num_sites() const { return options_.num_sites; }
   sim::Kernel& kernel() { return kernel_; }

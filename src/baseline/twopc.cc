@@ -99,7 +99,7 @@ struct TwoPcCluster::SiteState {
   bool up = false;
   uint64_t generation = 0;
   uint64_t next_txn = 1;
-  CounterSet counters;
+  obs::MetricsRegistry metrics;
 
   // Volatile:
   std::vector<Replica> replicas;
@@ -242,9 +242,9 @@ uint32_t TwoPcCluster::BlockedParticipants() const {
   return n;
 }
 
-CounterSet TwoPcCluster::AggregateCounters() const {
-  CounterSet out;
-  for (const auto& s : sites_) out.Merge(s->counters);
+obs::MetricsRegistry TwoPcCluster::AggregateCounters() const {
+  obs::MetricsRegistry out;
+  for (const auto& s : sites_) out.AddCounters(s->metrics);
   return out;
 }
 
@@ -276,7 +276,7 @@ void TwoPcCluster::SiteState::StartTxn(const txn::TxnSpec& spec,
   coord.spec = spec;
   coord.cb = std::move(cb);
   coord.start = owner->kernel_.Now();
-  counters.Inc("2pc.txn.started");
+  metrics.counter("2pc.txn.started")->Inc();
 
   std::vector<ItemId> items;
   for (const auto& op : spec.ops) items.push_back(op.item);
@@ -309,7 +309,7 @@ void TwoPcCluster::SiteState::OnLockReq(SiteId from, const LockReqMsg& msg) {
   reply->site = id;
   if (!locks.TryLockAll(msg.items, msg.txn)) {
     reply->granted = false;
-    counters.Inc("2pc.lock.refused");
+    metrics.counter("2pc.lock.refused")->Inc();
     Send(from, std::move(reply));
     return;
   }
@@ -321,7 +321,7 @@ void TwoPcCluster::SiteState::OnLockReq(SiteId from, const LockReqMsg& msg) {
     const Replica& r = replicas[item.value()];
     reply->reads.push_back(ReplicaRead{item, r.value, r.version});
   }
-  counters.Inc("2pc.lock.granted");
+  metrics.counter("2pc.lock.granted")->Inc();
   Send(from, std::move(reply));
 
   // Pre-vote patience: a participant that granted but never got a prepare
@@ -335,7 +335,7 @@ void TwoPcCluster::SiteState::OnLockReq(SiteId from, const LockReqMsg& msg) {
         if (it == parts.end() || it->second.prepared) return;
         locks.ReleaseAll(txn);
         parts.erase(it);
-        counters.Inc("2pc.grant.expired");
+        metrics.counter("2pc.grant.expired")->Inc();
       });
 }
 
@@ -403,6 +403,7 @@ void TwoPcCluster::SiteState::TryPrepare(TxnId txn) {
                                               -op.amount, r.version + 1});
         break;
       case txn::TxnOp::Kind::kReadFull:
+      case txn::TxnOp::Kind::kReadSnapshot:  // one-copy reads are exact
         c.read_values[op.item] = r.value;
         break;
     }
@@ -418,7 +419,7 @@ void TwoPcCluster::SiteState::TryPrepare(TxnId txn) {
   prep->coordinator = id;
   prep->writes = c.writes;
   for (SiteId site : c.participants) Send(site, prep);
-  counters.Inc("2pc.prepare.sent");
+  metrics.counter("2pc.prepare.sent")->Inc();
 }
 
 void TwoPcCluster::SiteState::OnPrepareReq(SiteId from,
@@ -441,7 +442,7 @@ void TwoPcCluster::SiteState::OnPrepareReq(SiteId from,
     p.timer.Cancel();
     storage->Append(
         wal::LogRecord(wal::PrepareRec{msg.txn, msg.coordinator, msg.writes}));
-    counters.Inc("2pc.prepared");
+    metrics.counter("2pc.prepared")->Inc();
     ArmParticipantPoll(msg.txn);
   }
   auto vote = std::make_shared<VoteMsg>();
@@ -479,9 +480,9 @@ void TwoPcCluster::SiteState::Decide(TxnId txn, bool commit,
   // The decision record is the commit point.
   storage->Append(wal::LogRecord(wal::DecisionRec{txn, commit}));
   decisions[txn] = commit;
-  counters.Inc(commit ? "2pc.txn.committed"
-                      : std::string("2pc.txn.") +
-                            std::string(txn::TxnOutcomeName(outcome)));
+  std::string_view verdict =
+      commit ? "committed" : txn::TxnOutcomeName(outcome);
+  metrics.counter("2pc.txn." + std::string(verdict))->Inc();
 
   txn::TxnResult result;
   result.id = txn;
@@ -569,7 +570,7 @@ void TwoPcCluster::SiteState::ArmParticipantPoll(TxnId txn) {
         req->txn = txn;
         req->from = id;
         req->coordinator = pit->second.coordinator;
-        counters.Inc("2pc.blocked.poll");
+        metrics.counter("2pc.blocked.poll")->Inc();
         if (in_doubt > 0) ++recovery_messages;
         Send(pit->second.coordinator, std::move(req));
         ArmParticipantPoll(txn);
@@ -591,7 +592,7 @@ void TwoPcCluster::SiteState::Crash() {
   if (!up) return;
   up = false;
   ++generation;
-  counters.Inc("2pc.site.crashes");
+  metrics.counter("2pc.site.crashes")->Inc();
   // Coordinators die undecided; their clients see a failure.
   for (auto& [txn, c] : coords) {
     c.timer.Cancel();
@@ -621,7 +622,7 @@ void TwoPcCluster::SiteState::Crash() {
 void TwoPcCluster::SiteState::Recover(std::function<void(uint64_t)> done) {
   assert(!up);
   ++generation;
-  counters.Inc("2pc.site.recoveries");
+  metrics.counter("2pc.site.recoveries")->Inc();
   recovery_messages = 0;
 
   // Rebuild replicas from the image, then redo in log order.
@@ -667,7 +668,7 @@ void TwoPcCluster::SiteState::Recover(std::function<void(uint64_t)> done) {
     req->from = id;
     req->coordinator = prep.coordinator;
     ++recovery_messages;
-    counters.Inc("2pc.recovery.decision_req");
+    metrics.counter("2pc.recovery.decision_req")->Inc();
     Send(prep.coordinator, req);
     ArmParticipantPoll(txn);
   }

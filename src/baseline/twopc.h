@@ -35,6 +35,7 @@
 #include "common/types.h"
 #include "dvpcore/catalog.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "sim/kernel.h"
 #include "txn/txn.h"
 #include "wal/stable_storage.h"
@@ -100,7 +101,8 @@ class TwoPcCluster {
   /// Number of participants currently blocked.
   uint32_t BlockedParticipants() const;
 
-  CounterSet AggregateCounters() const;
+  /// Sum of every site's non-zero counters (MetricsRegistry::AddCounters).
+  obs::MetricsRegistry AggregateCounters() const;
   /// Time participants spent inside the uncertainty window (per episode).
   const Histogram& blocked_time() const { return blocked_time_; }
   /// Commit/abort decision latency at the coordinator.

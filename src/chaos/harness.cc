@@ -484,10 +484,10 @@ RunResult RunCase(const ChaosCase& c, const RunOptions& opts) {
     h = Fnv1a(h, static_cast<uint64_t>(b.in_flight));
     h = Fnv1a(h, static_cast<uint64_t>(b.committed_delta));
   }
-  CounterSet counters = cluster.AggregateCounters();
-  for (const auto& [name, value] : counters.counters()) {
+  obs::MetricsRegistry counters = cluster.AggregateCounters();
+  for (const auto& [name, c] : counters.counters()) {
     h = FnvStr(h, name);
-    h = Fnv1a(h, value);
+    h = Fnv1a(h, c.value());
   }
   result.digest = h;
   return result;

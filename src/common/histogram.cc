@@ -79,28 +79,4 @@ std::string Histogram::Summary() const {
   return os.str();
 }
 
-void CounterSet::Inc(const std::string& name, uint64_t delta) {
-  counters_[name] += delta;
-}
-
-uint64_t CounterSet::Get(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-void CounterSet::Merge(const CounterSet& other) {
-  for (const auto& [k, v] : other.counters_) counters_[k] += v;
-}
-
-std::string CounterSet::ToString() const {
-  std::ostringstream os;
-  bool first = true;
-  for (const auto& [k, v] : counters_) {
-    if (!first) os << " ";
-    os << k << "=" << v;
-    first = false;
-  }
-  return os.str();
-}
-
 }  // namespace dvp

@@ -1,10 +1,9 @@
 // Lightweight statistics helpers used by the benchmark harnesses and the
 // metrics layer: an exact-quantile reservoir-free histogram (we keep all
-// samples; experiment sizes are modest) and a streaming counter set.
+// samples; experiment sizes are modest).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -42,22 +41,6 @@ class Histogram {
   double sum_ = 0;
   double min_ = 0;
   double max_ = 0;
-};
-
-/// Named monotonically increasing counters, used for per-run metrics such as
-/// messages sent, log forces, aborts by reason.
-class CounterSet {
- public:
-  void Inc(const std::string& name, uint64_t delta = 1);
-  uint64_t Get(const std::string& name) const;
-  void Merge(const CounterSet& other);
-  void Clear() { counters_.clear(); }
-
-  const std::map<std::string, uint64_t>& counters() const { return counters_; }
-  std::string ToString() const;
-
- private:
-  std::map<std::string, uint64_t> counters_;
 };
 
 }  // namespace dvp

@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"

@@ -18,16 +18,15 @@ Transport::Transport(runtime::Runtime* rt, Conduit* conduit, SiteId self,
       self_(self),
       trace_(trace),
       options_(options),
-      m_ack_piggyback_(obs::CounterIn(metrics, "transport.ack_piggyback")),
-      m_ack_pure_(obs::CounterIn(metrics, "transport.ack_pure")),
-      m_stale_epoch_drop_(obs::CounterIn(metrics, "transport.stale_epoch_drop")),
-      m_cum_fastforward_(obs::CounterIn(metrics, "transport.cum_fastforward")),
-      m_dup_drop_(obs::CounterIn(metrics, "transport.dup_drop")),
-      m_window_drop_(obs::CounterIn(metrics, "transport.window_drop")),
-      m_retransmit_(obs::CounterIn(metrics, "transport.retransmit")),
-      m_coalesced_frames_(obs::CounterIn(metrics, "transport.coalesced_frames")),
-      m_coalesced_riders_(
-          obs::CounterIn(metrics, "transport.coalesced_riders")) {}
+      m_ack_piggyback_(metrics->counter("transport.ack_piggyback")),
+      m_ack_pure_(metrics->counter("transport.ack_pure")),
+      m_stale_epoch_drop_(metrics->counter("transport.stale_epoch_drop")),
+      m_cum_fastforward_(metrics->counter("transport.cum_fastforward")),
+      m_dup_drop_(metrics->counter("transport.dup_drop")),
+      m_window_drop_(metrics->counter("transport.window_drop")),
+      m_retransmit_(metrics->counter("transport.retransmit")),
+      m_coalesced_frames_(metrics->counter("transport.coalesced_frames")),
+      m_coalesced_riders_(metrics->counter("transport.coalesced_riders")) {}
 
 Transport::~Transport() { *alive_ = false; }
 
@@ -54,7 +53,6 @@ void Transport::AttachAck(Packet* p) {
   if (pi.ack_owed) {
     pi.ack_owed = false;  // this packet is the ack; the pure-ack timer yields
     pi.ack_timer.Cancel();
-    ++piggyback_acks_;
     m_ack_piggyback_->Inc();
   }
 }
@@ -111,8 +109,6 @@ void Transport::FlushStaging() {
                    std::move(msgs[j].payload)});
       }
       if (!p.extra.empty()) {
-        ++coalesced_frames_;
-        coalesced_riders_ += p.extra.size();
         m_coalesced_frames_->Inc();
         m_coalesced_riders_->Inc(p.extra.size());
       }
@@ -238,7 +234,6 @@ void Transport::OweAck(SiteId src) {
     p.has_ack = true;
     p.ack_epoch = it->second.epoch;
     p.ack_cum = it->second.cum;
-    ++pure_acks_;
     m_ack_pure_->Inc();
     SendOnWire(std::move(p));
   });
@@ -301,7 +296,6 @@ void Transport::ProcessSub(SiteId src, uint64_t epoch, Reliability reliability,
   }
 
   if (seq <= pi.cum || pi.above.contains(seq)) {
-    ++dup_drops_;
     m_dup_drop_->Inc();
     if (trace_) {
       trace_->Instant(self_, obs::Track::kNet, "net.dedup",
@@ -391,7 +385,6 @@ void Transport::OnTimer() {
       if (sent >= options_.retransmit_burst) break;
       SendPacket(peer, seq, ps.payload);
       ++ps.sends;
-      ++retransmissions_;
       m_retransmit_->Inc();
       if (trace_) {
         trace_->Instant(self_, obs::Track::kNet, "net.retransmit",

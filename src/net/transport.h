@@ -42,7 +42,6 @@
 #include <memory>
 #include <set>
 
-#include "common/histogram.h"
 #include "common/types.h"
 #include "net/conduit.h"
 #include "obs/metrics.h"
@@ -88,6 +87,7 @@ class Transport {
     uint32_t max_frame_hints = 0;
   };
 
+  /// `metrics` is required: the transport counts into it.
   Transport(runtime::Runtime* rt, Conduit* conduit, SiteId self,
             obs::MetricsRegistry* metrics, Options options,
             obs::TraceRecorder* trace = nullptr);
@@ -158,14 +158,18 @@ class Transport {
   /// Number of payloads currently being retransmitted.
   size_t outstanding() const { return token_index_.size(); }
 
-  uint64_t retransmissions() const { return retransmissions_; }
-  uint64_t dup_drops() const { return dup_drops_; }
-  uint64_t pure_acks() const { return pure_acks_; }
-  uint64_t piggyback_acks() const { return piggyback_acks_; }
+  /// Event counts, read from this site's registry handles: they are per site
+  /// (not per Transport object) and survive crash/recover, which destroys
+  /// and rebuilds the Transport.
+  uint64_t retransmissions() const { return m_retransmit_->value(); }
+  uint64_t dup_drops() const { return m_dup_drop_->value(); }
+  uint64_t pure_acks() const { return m_ack_pure_->value(); }
+  uint64_t piggyback_acks() const { return m_ack_piggyback_->value(); }
   /// Frames that actually carried more than one message, and the total
   /// rider count across them (messages saved vs one-per-packet sending).
-  uint64_t coalesced_frames() const { return coalesced_frames_; }
-  uint64_t coalesced_riders() const { return coalesced_riders_; }
+  /// Per site and crash-surviving, like the counts above.
+  uint64_t coalesced_frames() const { return m_coalesced_frames_->value(); }
+  uint64_t coalesced_riders() const { return m_coalesced_riders_->value(); }
   /// Current total out-of-order dedup entries across peers (the cumulative
   /// watermarks compress everything below them to one integer per peer).
   size_t dedup_entries() const;
@@ -272,12 +276,6 @@ class Transport {
   /// kernel's queue may still hold our timer events.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
-  uint64_t retransmissions_ = 0;
-  uint64_t dup_drops_ = 0;
-  uint64_t pure_acks_ = 0;
-  uint64_t piggyback_acks_ = 0;
-  uint64_t coalesced_frames_ = 0;
-  uint64_t coalesced_riders_ = 0;
   size_t dedup_peak_ = 0;
 };
 

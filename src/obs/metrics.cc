@@ -14,12 +14,10 @@ int64_t MetricsRegistry::GetGauge(const std::string& name) const {
   return it == gauges_.end() ? 0 : it->second.value();
 }
 
-CounterSet MetricsRegistry::AsCounterSet() const {
-  CounterSet out;
-  for (const auto& [name, c] : counters_) {
-    if (c.value() != 0) out.Inc(name, c.value());
+void MetricsRegistry::AddCounters(const MetricsRegistry& other) {
+  for (const auto& [name, c] : other.counters_) {
+    if (c.value() != 0) counters_[name].Inc(c.value());
   }
-  return out;
 }
 
 void MetricsRegistry::DumpJson(JsonWriter* out, const std::string& prefix) const {
@@ -28,16 +26,6 @@ void MetricsRegistry::DumpJson(JsonWriter* out, const std::string& prefix) const
   for (const auto& [name, h] : histograms_) {
     out->SetHistogram(prefix + name, h);
   }
-}
-
-Counter* MetricsRegistry::Nop() {
-  static Counter nop;
-  return &nop;
-}
-
-Gauge* MetricsRegistry::NopGauge() {
-  static Gauge nop;
-  return &nop;
 }
 
 }  // namespace dvp::obs

@@ -1,13 +1,9 @@
-// Typed metrics registry: the replacement for scattered
-// CounterSet::Inc("free.form.key") call sites. A component resolves its
-// handles ONCE at construction — the hot path is then a single pointer
-// increment, with no string hashing and no map lookup — and the registry
-// renders a legacy CounterSet compatibility view so AggregateCounters(),
-// the chaos digest and every existing assertion keep their dotted names.
-//
-// Components that may run without a registry (unit-test rigs pass one; some
-// baselines do not) resolve against Nop(), a shared write-only sink, so the
-// increment stays branch-free instead of null-checking per event.
+// Typed metrics registry: the one place a site counts. A component resolves
+// its handles ONCE at construction — the hot path is then a single pointer
+// increment, with no string hashing and no map lookup — and every reader
+// (AggregateCounters(), the chaos digest, tests, benches) sees the same
+// dotted names. Every component that counts takes a registry; none may be
+// null.
 #pragma once
 
 #include <algorithm>
@@ -53,38 +49,28 @@ class MetricsRegistry {
   Gauge* gauge(const std::string& name) { return &gauges_[name]; }
   Histogram* histogram(const std::string& name) { return &histograms_[name]; }
 
-  /// Convenience read of a counter's value (0 when never registered) — the
-  /// same contract CounterSet::Get had, so test assertions port verbatim.
+  /// Convenience read of a counter's value (0 when never registered).
   uint64_t Get(const std::string& name) const;
   /// Gauge read; 0 when never registered.
   int64_t GetGauge(const std::string& name) const;
 
-  /// Legacy compatibility view: every counter that has counted something,
-  /// under its registered name. Zero-valued handles are skipped to match the
-  /// old behavior where a key existed only once incremented (digests and
-  /// dumps stay free of registration-order noise).
-  CounterSet AsCounterSet() const;
+  /// Every registered counter by name, zero-valued ones included.
+  const std::map<std::string, Counter>& counters() const { return counters_; }
+
+  /// Adds each of `other`'s counters that has counted something into the
+  /// counter of the same name here. Zero-valued handles are skipped, so a
+  /// name only exists in the sum once incremented somewhere: digests and
+  /// dumps stay free of registration-order noise.
+  void AddCounters(const MetricsRegistry& other);
 
   /// Dumps every counter, gauge and histogram into the shared JSON sink
   /// (counters under `prefix + name`, histograms via SetHistogram).
   void DumpJson(JsonWriter* out, const std::string& prefix = "") const;
-
-  /// Shared write-only sink for components constructed without a registry.
-  static Counter* Nop();
-  static Gauge* NopGauge();
 
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
 };
-
-/// Resolve helper: a handle from `m`, or the shared no-op sink.
-inline Counter* CounterIn(MetricsRegistry* m, const char* name) {
-  return m ? m->counter(name) : MetricsRegistry::Nop();
-}
-inline Gauge* GaugeIn(MetricsRegistry* m, const char* name) {
-  return m ? m->gauge(name) : MetricsRegistry::NopGauge();
-}
 
 }  // namespace dvp::obs

@@ -14,13 +14,13 @@ PlacementManager::PlacementManager(SiteId self, uint32_t num_sites,
       rt_(rt),
       store_(store),
       options_(options),
-      m_hint_observed_(obs::CounterIn(metrics, "placement.hint.observed")),
-      m_hint_hit_(obs::CounterIn(metrics, "placement.hint.hit")),
-      m_hint_miss_(obs::CounterIn(metrics, "placement.hint.miss")),
-      m_hint_stale_(obs::CounterIn(metrics, "placement.hint.stale")),
-      m_hint_empty_(obs::CounterIn(metrics, "placement.hint.empty")),
-      m_rebalance_push_(obs::CounterIn(metrics, "placement.rebalance.push")),
-      m_rebalance_value_(obs::CounterIn(metrics, "placement.rebalance.value")) {
+      m_hint_observed_(metrics->counter("placement.hint.observed")),
+      m_hint_hit_(metrics->counter("placement.hint.hit")),
+      m_hint_miss_(metrics->counter("placement.hint.miss")),
+      m_hint_stale_(metrics->counter("placement.hint.stale")),
+      m_hint_empty_(metrics->counter("placement.hint.empty")),
+      m_rebalance_push_(metrics->counter("placement.rebalance.push")),
+      m_rebalance_value_(metrics->counter("placement.rebalance.value")) {
   // Feed the advert ring from store writes: any item whose fragment moves
   // here may have surplus worth advertising. This is what keeps AdvertsFor
   // O(active) — the ring tracks touched items instead of scanning the

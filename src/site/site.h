@@ -10,7 +10,6 @@
 #include <memory>
 
 #include "cc/lock_manager.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "dvpcore/catalog.h"
@@ -99,10 +98,6 @@ class Site {
   const core::Catalog& catalog() const { return *catalog_; }
   wal::StableStorage& storage() { return *storage_; }
   const wal::StableStorage& storage() const { return *storage_; }
-  /// Legacy compatibility view of the metrics registry (dotted names, only
-  /// counters that have counted). Returned by value: the registry is the
-  /// store, this is a rendering.
-  CounterSet counters() const { return metrics_.AsCounterSet(); }
   /// The typed registry all of this site's components register with.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }

@@ -152,18 +152,18 @@ Status Cluster::AuditAllVolatile() const {
   return verify::AuditAll(storages, *catalog_, LiveView());
 }
 
-CounterSet Cluster::AggregateCounters() const {
-  CounterSet out;
-  for (const auto& s : sites_) out.Merge(s->counters());
+obs::MetricsRegistry Cluster::AggregateCounters() const {
+  obs::MetricsRegistry out;
+  for (const auto& s : sites_) out.AddCounters(s->metrics());
   const net::NetworkStats& ns = network_->stats();
-  out.Inc("net.sent", ns.packets_sent);
-  out.Inc("net.delivered", ns.packets_delivered);
-  out.Inc("net.lost_link", ns.packets_lost_link);
-  out.Inc("net.lost_partition", ns.packets_lost_partition);
-  out.Inc("net.lost_down", ns.packets_lost_down);
-  out.Inc("net.duplicated", ns.packets_duplicated);
-  out.Inc("net.bytes_sent", ns.bytes_sent);
-  out.Inc("net.bytes_delivered", ns.bytes_delivered);
+  out.counter("net.sent")->Inc(ns.packets_sent);
+  out.counter("net.delivered")->Inc(ns.packets_delivered);
+  out.counter("net.lost_link")->Inc(ns.packets_lost_link);
+  out.counter("net.lost_partition")->Inc(ns.packets_lost_partition);
+  out.counter("net.lost_down")->Inc(ns.packets_lost_down);
+  out.counter("net.duplicated")->Inc(ns.packets_duplicated);
+  out.counter("net.bytes_sent")->Inc(ns.bytes_sent);
+  out.counter("net.bytes_delivered")->Inc(ns.bytes_delivered);
   return out;
 }
 

@@ -18,12 +18,12 @@
 #include <memory>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "dvpcore/catalog.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "sim/kernel.h"
 #include "site/site.h"
 #include "verify/conservation.h"
@@ -127,8 +127,9 @@ class Cluster {
   /// Current durable item total (fragments + in-flight).
   core::Value TotalOf(ItemId item) const { return Audit(item).total(); }
 
-  /// Sum of all sites' counters plus network statistics.
-  CounterSet AggregateCounters() const;
+  /// Sum of all sites' counters (AddCounters: non-zero ones only) plus the
+  /// eight net.* network statistics, which are present even at 0.
+  obs::MetricsRegistry AggregateCounters() const;
 
  private:
   const core::Catalog* catalog_;

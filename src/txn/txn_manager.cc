@@ -79,44 +79,39 @@ TxnManager::TxnManager(SiteId self, uint32_t num_sites, runtime::Runtime* rt,
       rng_(rng),
       options_(options),
       policy_(options.scheme),
-      m_req_sent_(obs::CounterIn(metrics, "req.sent")),
-      m_req_msgs_(obs::CounterIn(metrics, "req.msgs")),
-      m_req_received_(obs::CounterIn(metrics, "req.received")),
-      m_req_ignored_locked_(obs::CounterIn(metrics, "req.ignored.locked")),
-      m_req_ignored_cc_(obs::CounterIn(metrics, "req.ignored.cc")),
+      m_req_sent_(metrics->counter("req.sent")),
+      m_req_msgs_(metrics->counter("req.msgs")),
+      m_req_received_(metrics->counter("req.received")),
+      m_req_ignored_locked_(metrics->counter("req.ignored.locked")),
+      m_req_ignored_cc_(metrics->counter("req.ignored.cc")),
       m_req_ignored_outstanding_(
-          obs::CounterIn(metrics, "req.ignored.outstanding")),
-      m_req_ignored_empty_(obs::CounterIn(metrics, "req.ignored.empty")),
-      m_req_honored_(obs::CounterIn(metrics, "req.honored")),
-      m_req_honored_read_(obs::CounterIn(metrics, "req.honored.read")),
-      m_req_prefetch_(obs::CounterIn(metrics, "req.prefetch")),
-      m_rds_send_value_(obs::CounterIn(metrics, "rds.send_value")),
-      m_local_commit_(obs::CounterIn(metrics, "txn.local_commit")),
-      m_gather_directed_(obs::CounterIn(metrics, "placement.gather.directed")),
-      m_gather_fallback_(obs::CounterIn(metrics, "placement.gather.fallback")),
-      m_surplus_nack_(obs::CounterIn(metrics, "req.surplus_nack")),
-      m_multiop_committed_(obs::CounterIn(metrics, "txn.multiop.committed")),
-      m_multiop_aborted_(obs::CounterIn(metrics, "txn.multiop.aborted")),
-      m_multiop_return_(obs::CounterIn(metrics, "txn.multiop.return_sends")),
-      m_req_multiop_(obs::CounterIn(metrics, "req.multiop")),
-      m_snap_req_sent_(obs::CounterIn(metrics, "snapshot.req.sent")),
-      m_snap_req_received_(obs::CounterIn(metrics, "snapshot.req.received")),
-      m_snap_reply_sent_(obs::CounterIn(metrics, "snapshot.reply.sent")),
-      m_snap_reply_received_(
-          obs::CounterIn(metrics, "snapshot.reply.received")),
-      m_snap_unbalanced_(obs::CounterIn(metrics, "snapshot.rounds.unbalanced")),
-      m_snap_stale_replies_(obs::CounterIn(metrics, "snapshot.stale_replies")),
-      m_snap_cut_forced_(obs::CounterIn(metrics, "snapshot.cut_forced")),
-      h_rounds_(metrics ? metrics->histogram("txn.rounds") : nullptr),
-      h_snap_rounds_(metrics ? metrics->histogram("txn.snapshot.rounds")
-                             : nullptr),
-      h_read_retry_(metrics ? metrics->histogram("txn.read.retry_rounds")
-                            : nullptr) {
+          metrics->counter("req.ignored.outstanding")),
+      m_req_ignored_empty_(metrics->counter("req.ignored.empty")),
+      m_req_honored_(metrics->counter("req.honored")),
+      m_req_honored_read_(metrics->counter("req.honored.read")),
+      m_req_prefetch_(metrics->counter("req.prefetch")),
+      m_rds_send_value_(metrics->counter("rds.send_value")),
+      m_local_commit_(metrics->counter("txn.local_commit")),
+      m_gather_directed_(metrics->counter("placement.gather.directed")),
+      m_gather_fallback_(metrics->counter("placement.gather.fallback")),
+      m_surplus_nack_(metrics->counter("req.surplus_nack")),
+      m_multiop_committed_(metrics->counter("txn.multiop.committed")),
+      m_multiop_aborted_(metrics->counter("txn.multiop.aborted")),
+      m_multiop_return_(metrics->counter("txn.multiop.return_sends")),
+      m_req_multiop_(metrics->counter("req.multiop")),
+      m_snap_req_sent_(metrics->counter("snapshot.req.sent")),
+      m_snap_req_received_(metrics->counter("snapshot.req.received")),
+      m_snap_reply_sent_(metrics->counter("snapshot.reply.sent")),
+      m_snap_reply_received_(metrics->counter("snapshot.reply.received")),
+      m_snap_unbalanced_(metrics->counter("snapshot.rounds.unbalanced")),
+      m_snap_stale_replies_(metrics->counter("snapshot.stale_replies")),
+      m_snap_cut_forced_(metrics->counter("snapshot.cut_forced")),
+      h_rounds_(metrics->histogram("txn.rounds")),
+      h_snap_rounds_(metrics->histogram("txn.snapshot.rounds")),
+      h_read_retry_(metrics->histogram("txn.read.retry_rounds")) {
   for (int o = 0; o <= static_cast<int>(TxnOutcome::kAbortInvalid); ++o) {
-    std::string name =
-        "txn." + std::string(TxnOutcomeName(static_cast<TxnOutcome>(o)));
-    m_outcome_[o] =
-        metrics ? metrics->counter(name) : obs::MetricsRegistry::Nop();
+    m_outcome_[o] = metrics->counter(
+        "txn." + std::string(TxnOutcomeName(static_cast<TxnOutcome>(o))));
   }
 }
 
@@ -131,15 +126,13 @@ void TxnManager::NoteOutcome(TxnId id, TxnOutcome outcome) {
 void TxnManager::NoteCommitted(const PendingTxn& t) {
   if (t.rounds == 0) m_local_commit_->Inc();
   if (t.spec.atomic_set) m_multiop_committed_->Inc();
-  if (h_rounds_) h_rounds_->Add(static_cast<double>(t.rounds));
-  if (h_read_retry_ && !t.reads.empty()) {
+  h_rounds_->Add(static_cast<double>(t.rounds));
+  if (!t.reads.empty()) {
     h_read_retry_->Add(static_cast<double>(t.read_retry_attempts));
   }
   if (!t.snap.items.empty()) {
-    if (h_read_retry_) {
-      h_read_retry_->Add(static_cast<double>(t.snap.attempts));
-    }
-    if (h_snap_rounds_) h_snap_rounds_->Add(static_cast<double>(t.snap.round));
+    h_read_retry_->Add(static_cast<double>(t.snap.attempts));
+    h_snap_rounds_->Add(static_cast<double>(t.snap.round));
   }
 }
 

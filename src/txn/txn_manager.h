@@ -313,13 +313,13 @@ class TxnManager {
   obs::Counter* m_snap_unbalanced_;
   obs::Counter* m_snap_stale_replies_;
   obs::Counter* m_snap_cut_forced_;
-  /// Gather rounds per committed transaction; null without a registry.
-  Histogram* h_rounds_ = nullptr;
+  /// Gather rounds per committed transaction.
+  Histogram* h_rounds_;
   /// Snapshot rounds per completed snapshot read (≈1 at quiescence).
-  Histogram* h_snap_rounds_ = nullptr;
+  Histogram* h_snap_rounds_;
   /// Retry-timer firings per read, both modes — the backoff observability
   /// the fixed 40 ms poll never had.
-  Histogram* h_read_retry_ = nullptr;
+  Histogram* h_read_retry_;
 
   std::map<TxnId, std::unique_ptr<PendingTxn>> pending_;
 };

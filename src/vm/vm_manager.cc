@@ -22,13 +22,13 @@ VmManager::VmManager(SiteId self, wal::GroupCommitLog* log,
       trace_(trace),
       stamp_on_accept_(stamp_on_accept),
       stamp_mode_(stamp_mode),
-      m_created_(obs::CounterIn(metrics, "vm.created")),
-      m_accepted_(obs::CounterIn(metrics, "vm.accepted")),
-      m_duplicate_(obs::CounterIn(metrics, "vm.duplicate")),
-      m_deferred_locked_(obs::CounterIn(metrics, "vm.deferred_locked")),
-      m_acked_(obs::CounterIn(metrics, "vm.acked")),
-      m_closure_sent_(obs::CounterIn(metrics, "vm.closure_sent")),
-      m_accepted_pruned_(obs::CounterIn(metrics, "vm.accepted_pruned")) {}
+      m_created_(metrics->counter("vm.created")),
+      m_accepted_(metrics->counter("vm.accepted")),
+      m_duplicate_(metrics->counter("vm.duplicate")),
+      m_deferred_locked_(metrics->counter("vm.deferred_locked")),
+      m_acked_(metrics->counter("vm.acked")),
+      m_closure_sent_(metrics->counter("vm.closure_sent")),
+      m_accepted_pruned_(metrics->counter("vm.accepted_pruned")) {}
 
 VmId VmManager::NextVmId() { return MakeVmId(self_, next_vm_counter_++); }
 

@@ -22,7 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/types.h"
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
@@ -54,8 +53,8 @@ class GroupCommitLog {
         storage_(storage),
         trace_(trace),
         options_(options),
-        m_group_forces_(obs::CounterIn(metrics, "wal.group_forces")),
-        m_group_records_(obs::CounterIn(metrics, "wal.group_records")),
+        m_group_forces_(metrics->counter("wal.group_forces")),
+        m_group_records_(metrics->counter("wal.group_records")),
         alive_(std::make_shared<bool>(true)) {}
   ~GroupCommitLog() { *alive_ = false; }
   GroupCommitLog(const GroupCommitLog&) = delete;

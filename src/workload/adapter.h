@@ -26,7 +26,6 @@ class SystemAdapter {
   virtual uint32_t num_sites() const = 0;
   virtual Status Partition(const std::vector<std::vector<SiteId>>& groups) = 0;
   virtual void Heal() = 0;
-  virtual CounterSet Counters() const = 0;
 };
 
 class DvpAdapter final : public SystemAdapter {
@@ -45,9 +44,6 @@ class DvpAdapter final : public SystemAdapter {
     return cluster_->Partition(groups);
   }
   void Heal() override { cluster_->Heal(); }
-  CounterSet Counters() const override {
-    return cluster_->AggregateCounters();
-  }
 
  private:
   system::Cluster* cluster_;
@@ -71,9 +67,6 @@ class TwoPcAdapter final : public SystemAdapter {
     return cluster_->Partition(groups);
   }
   void Heal() override { cluster_->Heal(); }
-  CounterSet Counters() const override {
-    return cluster_->AggregateCounters();
-  }
 
  private:
   baseline::TwoPcCluster* cluster_;
@@ -97,9 +90,6 @@ class PrimaryCopyAdapter final : public SystemAdapter {
     return cluster_->Partition(groups);
   }
   void Heal() override { cluster_->Heal(); }
-  CounterSet Counters() const override {
-    return cluster_->AggregateCounters();
-  }
 
  private:
   baseline::PrimaryCopyCluster* cluster_;

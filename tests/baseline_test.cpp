@@ -113,6 +113,20 @@ TEST_F(TwoPcTest, QuorumSerialUpdatesReadLatestVersion) {
   EXPECT_EQ(r.read_values.at(item_), 70);
 }
 
+// A snapshot read against a one-copy baseline is an ordinary exact read: it
+// commits and reports the value, like ReadFull.
+TEST_F(TwoPcTest, SnapshotReadReportsTheValue) {
+  MakeCluster(ReplicaPolicy::kWriteAll);
+  ASSERT_EQ(SubmitAndRun(SiteId(0), Decr(item_, 10)).outcome,
+            TxnOutcome::kCommitted);
+  TxnSpec read;
+  read.ops = {TxnOp::ReadSnapshot(item_)};
+  TxnResult r = SubmitAndRun(SiteId(2), read);
+  ASSERT_EQ(r.outcome, TxnOutcome::kCommitted);
+  ASSERT_EQ(r.read_values.count(item_), 1u);
+  EXPECT_EQ(r.read_values.at(item_), 90);
+}
+
 TEST_F(TwoPcTest, ParticipantBlocksWhenPartitionHitsUncertaintyWindow) {
   // Slow the links so we can partition mid-protocol deterministically.
   TwoPcOptions opts;
@@ -141,7 +155,7 @@ TEST_F(TwoPcTest, ParticipantBlocksWhenPartitionHitsUncertaintyWindow) {
   // Participants 1..3 are prepared and cannot learn the decision: blocked,
   // holding locks, polling.
   EXPECT_GT(cluster_->BlockedParticipants(), 0u);
-  CounterSet counters = cluster_->AggregateCounters();
+  obs::MetricsRegistry counters = cluster_->AggregateCounters();
   EXPECT_GT(counters.Get("2pc.blocked.poll"), 0u);
 
   // Healing lets the termination protocol finish and unblock everyone.
@@ -174,6 +188,31 @@ TEST(PrimaryCopyTest, RoutesToPrimaryAndCommits) {
   ASSERT_TRUE(done);
   EXPECT_EQ(out.outcome, TxnOutcome::kCommitted);
   EXPECT_EQ(cluster.PrimaryValue(item), 43);
+}
+
+TEST(PrimaryCopyTest, SnapshotReadReportsThePrimaryValue) {
+  core::Catalog catalog;
+  ItemId item = catalog.AddItem("stock", CountDomain::Instance(), 50);
+  PrimaryCopyOptions opts;
+  opts.num_sites = 4;
+  PrimaryCopyCluster cluster(&catalog, opts);
+  cluster.Bootstrap();
+  auto run = [&](const TxnSpec& spec) {
+    TxnResult out;
+    EXPECT_TRUE(cluster
+                    .Submit(SiteId(2), spec,
+                            [&](const TxnResult& r) { out = r; })
+                    .ok());
+    cluster.RunFor(1'000'000);
+    return out;
+  };
+  ASSERT_EQ(run(Decr(item, 7)).outcome, TxnOutcome::kCommitted);
+  TxnSpec read;
+  read.ops = {TxnOp::ReadSnapshot(item)};
+  TxnResult r = run(read);
+  ASSERT_EQ(r.outcome, TxnOutcome::kCommitted);
+  ASSERT_EQ(r.read_values.count(item), 1u);
+  EXPECT_EQ(r.read_values.at(item), 43);
 }
 
 TEST(PrimaryCopyTest, UnreachablePrimaryMeansUnavailable) {

@@ -103,7 +103,7 @@ TEST(ClusterMetricsTest, AggregateIncludesNetworkStats) {
   cluster.BootstrapEven();
   ASSERT_TRUE(cluster.site(SiteId(0)).SendValue(SiteId(1), item, 5).ok());
   cluster.RunFor(1'000'000);
-  CounterSet counters = cluster.AggregateCounters();
+  obs::MetricsRegistry counters = cluster.AggregateCounters();
   EXPECT_GE(counters.Get("net.sent"), 2u);  // transfer + ack
   EXPECT_EQ(counters.Get("vm.created"), 1u);
   EXPECT_EQ(counters.Get("vm.accepted"), 1u);

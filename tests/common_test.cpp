@@ -250,32 +250,5 @@ TEST(HistogramTest, AddAfterPercentileStaysCorrect) {
   EXPECT_DOUBLE_EQ(h.Median(), 3.0);
 }
 
-// ---- CounterSet -----------------------------------------------------------------
-
-TEST(CounterSetTest, IncAndGet) {
-  CounterSet c;
-  EXPECT_EQ(c.Get("x"), 0u);
-  c.Inc("x");
-  c.Inc("x", 4);
-  EXPECT_EQ(c.Get("x"), 5u);
-}
-
-TEST(CounterSetTest, MergeAdds) {
-  CounterSet a, b;
-  a.Inc("x", 2);
-  b.Inc("x", 3);
-  b.Inc("y", 1);
-  a.Merge(b);
-  EXPECT_EQ(a.Get("x"), 5u);
-  EXPECT_EQ(a.Get("y"), 1u);
-}
-
-TEST(CounterSetTest, ToStringIsSortedKeyValue) {
-  CounterSet c;
-  c.Inc("b", 2);
-  c.Inc("a", 1);
-  EXPECT_EQ(c.ToString(), "a=1 b=2");
-}
-
 }  // namespace
 }  // namespace dvp

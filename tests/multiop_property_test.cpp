@@ -47,6 +47,13 @@ struct MultiopCase {
   bool partitions;
 };
 
+// gtest's default printer dumps the struct's bytes, which include the address
+// of `name` and uninitialised padding and so change from build to build;
+// print the seed (unique per case) instead so the test names stay stable.
+void PrintTo(const MultiopCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed;
+}
+
 class MultiopChaosTest : public ::testing::TestWithParam<MultiopCase> {};
 
 TEST_P(MultiopChaosTest, CrossItemInvariantsHoldUnderFaults) {

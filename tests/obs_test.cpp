@@ -1,6 +1,7 @@
 // The observability layer: deterministic JSON sink (strict-JSON nan/inf
-// handling, empty-histogram extrema), typed metrics registry and its legacy
-// CounterSet view, the causal trace recorder, and the end-to-end contracts —
+// handling, empty-histogram extrema), the typed metrics registry (the one
+// counter store: handles, zero-skipping AddCounters sums, JSON dump), the
+// causal trace recorder, and the end-to-end contracts —
 // a traced chaos run is byte-stable across executions and digest-identical
 // to an untraced one, and a planted conservation violation's explanation
 // names the offending Vm transfer.
@@ -122,21 +123,19 @@ TEST(MetricsRegistryTest, HandlesAreStableAndReadable) {
   EXPECT_EQ(m.GetGauge("dedup.peak"), 7);
 }
 
-TEST(MetricsRegistryTest, CounterSetViewSkipsZeros) {
-  obs::MetricsRegistry m;
-  m.counter("a.used")->Inc(2);
-  m.counter("b.registered_only");  // never incremented
-  CounterSet view = m.AsCounterSet();
-  EXPECT_EQ(view.Get("a.used"), 2u);
-  EXPECT_EQ(view.counters().count("b.registered_only"), 0u)
+TEST(MetricsRegistryTest, AddCountersSumsAndSkipsZeros) {
+  obs::MetricsRegistry a, b;
+  a.counter("x")->Inc(2);
+  b.counter("x")->Inc(3);
+  b.counter("y")->Inc();
+  b.counter("b.registered_only");  // never incremented
+  a.AddCounters(b);
+  EXPECT_EQ(a.Get("x"), 5u);
+  EXPECT_EQ(a.Get("y"), 1u);
+  EXPECT_EQ(b.Get("x"), 3u) << "the source is left as it was";
+  EXPECT_EQ(a.counters().count("b.registered_only"), 0u)
       << "zero-valued handles must stay out of digests and dumps";
-}
-
-TEST(MetricsRegistryTest, NopSinkAbsorbsWrites) {
-  obs::MetricsRegistry::Nop()->Inc(123);
-  obs::MetricsRegistry::NopGauge()->NoteMax(9);
-  obs::Counter* c = obs::CounterIn(nullptr, "whatever");
-  EXPECT_EQ(c, obs::MetricsRegistry::Nop());
+  EXPECT_EQ(a.counters().size(), 2u);
 }
 
 TEST(MetricsRegistryTest, DumpJsonRendersEverything) {

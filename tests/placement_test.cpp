@@ -30,8 +30,7 @@ class PlacementUnitTest : public ::testing::Test {
     item_ = catalog_->AddItem("pool", CountDomain::Instance(), 100);
     store_ = std::make_unique<core::ValueStore>(catalog_.get());
     pm_ = std::make_unique<placement::PlacementManager>(
-        SiteId(0), num_sites, &kernel_, store_.get(), /*metrics=*/nullptr,
-        popts);
+        SiteId(0), num_sites, &kernel_, store_.get(), &metrics_, popts);
   }
 
   void AdvanceTo(SimTime when) {
@@ -40,6 +39,7 @@ class PlacementUnitTest : public ::testing::Test {
   }
 
   sim::Kernel kernel_;
+  obs::MetricsRegistry metrics_;
   std::unique_ptr<core::Catalog> catalog_;
   ItemId item_;
   std::unique_ptr<core::ValueStore> store_;
@@ -132,8 +132,9 @@ TEST(PlacementSparseTest, AdvertRingTracksTouchedItemsAndRetiresDrained) {
   core::ValueStore store(&catalog);
   placement::PlacementOptions popts;
   popts.hints_per_frame = 4;
-  placement::PlacementManager pm(SiteId(0), 4, &kernel, &store,
-                                 /*metrics=*/nullptr, popts);
+  obs::MetricsRegistry metrics;
+  placement::PlacementManager pm(SiteId(0), 4, &kernel, &store, &metrics,
+                                 popts);
   EXPECT_EQ(pm.advert_ring_size(), 0u);
 
   store.Install(items[3], 10, Timestamp::Zero());
@@ -168,8 +169,9 @@ TEST(PlacementSparseTest, AdvertRingSeedsFromFragmentsResidentAtConstruction) {
 
   placement::PlacementOptions popts;
   popts.hints_per_frame = 4;
-  placement::PlacementManager pm(SiteId(0), 4, &kernel, &store,
-                                 /*metrics=*/nullptr, popts);
+  obs::MetricsRegistry metrics;
+  placement::PlacementManager pm(SiteId(0), 4, &kernel, &store, &metrics,
+                                 popts);
   EXPECT_EQ(pm.advert_ring_size(), 1u);
   auto adverts = pm.AdvertsFor(SiteId(1));
   ASSERT_EQ(adverts.size(), 1u);
@@ -252,7 +254,7 @@ TEST_F(PlacementClusterTest, HintsRideExistingFramesAcrossTheCluster) {
   TxnResult r = SubmitAndRun(SiteId(0), spec);
   EXPECT_EQ(r.outcome, TxnOutcome::kCommitted);
 
-  CounterSet counters = cluster_->AggregateCounters();
+  obs::MetricsRegistry counters = cluster_->AggregateCounters();
   EXPECT_GT(counters.Get("placement.hint.observed"), 0u);
   auto ranked = cluster_->site(SiteId(0)).placement()->RankTargets(item_);
   ASSERT_FALSE(ranked.empty());
@@ -272,13 +274,13 @@ TEST_F(PlacementClusterTest, DirectedGatherAsksOnlyTheSurplusSite) {
   TxnSpec spec;
   spec.ops = {TxnOp::Decrement(item_, 10)};
   ASSERT_EQ(SubmitAndRun(SiteId(0), spec).outcome, TxnOutcome::kCommitted);
-  CounterSet before = cluster_->AggregateCounters();
+  obs::MetricsRegistry before = cluster_->AggregateCounters();
   EXPECT_GT(before.Get("placement.gather.fallback"), 0u);
 
   // Directed: the ranked cache points at site 3 alone; one request message.
   TxnResult r = SubmitAndRun(SiteId(0), spec);
   EXPECT_EQ(r.outcome, TxnOutcome::kCommitted);
-  CounterSet after = cluster_->AggregateCounters();
+  obs::MetricsRegistry after = cluster_->AggregateCounters();
   EXPECT_GT(after.Get("placement.gather.directed"),
             before.Get("placement.gather.directed"));
   EXPECT_EQ(after.Get("req.msgs") - before.Get("req.msgs"), 1u);
@@ -305,7 +307,7 @@ TEST_F(PlacementClusterTest, EmptyReplyNackRedirectsTheNextGather) {
   TxnResult r = SubmitAndRun(SiteId(0), spec);
   EXPECT_EQ(r.outcome, TxnOutcome::kCommitted);
   EXPECT_GE(r.rounds, 2u);
-  CounterSet counters = cluster_->AggregateCounters();
+  obs::MetricsRegistry counters = cluster_->AggregateCounters();
   EXPECT_GT(counters.Get("req.surplus_nack"), 0u);
   EXPECT_GT(counters.Get("placement.hint.empty"), 0u);
 }
@@ -329,7 +331,7 @@ TEST_F(PlacementClusterTest, MultiRoundGatherCompletesAndCountsRounds) {
   EXPECT_EQ(r.outcome, TxnOutcome::kCommitted);
   EXPECT_GE(r.rounds, 2u);
 
-  CounterSet counters = cluster_->AggregateCounters();
+  obs::MetricsRegistry counters = cluster_->AggregateCounters();
   EXPECT_GE(counters.Get("req.sent"), 2u);
   EXPECT_GE(counters.Get("req.msgs"), 2u);
   Histogram* rounds =
@@ -382,7 +384,7 @@ TEST_F(PlacementClusterTest, RebalancerFeedsTheDemandHotSpot) {
   }
   cluster_->RunFor(5'000'000);
 
-  CounterSet counters = cluster_->AggregateCounters();
+  obs::MetricsRegistry counters = cluster_->AggregateCounters();
   EXPECT_EQ(committed, 60u);
   EXPECT_GT(counters.Get("placement.rebalance.push"), 0u);
   // The fast path: decrements that found the rebalanced value locally.

@@ -36,7 +36,7 @@ TEST_F(SiteTest, CrashIsIdempotent) {
   cluster_->CrashSite(SiteId(0));
   cluster_->CrashSite(SiteId(0));  // no-op, no crash
   EXPECT_FALSE(cluster_->site(SiteId(0)).IsUp());
-  EXPECT_EQ(cluster_->site(SiteId(0)).counters().Get("site.crashes"), 1u);
+  EXPECT_EQ(cluster_->site(SiteId(0)).metrics().Get("site.crashes"), 1u);
 }
 
 TEST_F(SiteTest, DurableValueReadableWhileDown) {
@@ -74,7 +74,7 @@ TEST_F(SiteTest, PeriodicCheckpointAdvancesWatermark) {
   }
   const wal::StableStorage& storage = cluster_->storage(SiteId(0));
   EXPECT_GT(storage.checkpoint_upto(), 0u);
-  EXPECT_GE(cluster_->site(SiteId(0)).counters().Get("site.checkpoints"), 4u);
+  EXPECT_GE(cluster_->site(SiteId(0)).metrics().Get("site.checkpoints"), 4u);
   // The image reflects the committed state.
   EXPECT_EQ(storage.image().at(item_).value,
             cluster_->site(SiteId(0)).LocalValue(item_));
@@ -85,15 +85,15 @@ TEST_F(SiteTest, CheckpointTimerStopsAcrossCrash) {
   site_opts.checkpoint_interval_us = 100'000;
   Build(site_opts);
   cluster_->RunFor(250'000);
-  uint64_t before = cluster_->site(SiteId(0)).counters().Get("site.checkpoints");
+  uint64_t before = cluster_->site(SiteId(0)).metrics().Get("site.checkpoints");
   cluster_->CrashSite(SiteId(0));
   cluster_->RunFor(500'000);
   // No checkpoints while down.
-  EXPECT_EQ(cluster_->site(SiteId(0)).counters().Get("site.checkpoints"),
+  EXPECT_EQ(cluster_->site(SiteId(0)).metrics().Get("site.checkpoints"),
             before);
   cluster_->RecoverSite(SiteId(0));
   cluster_->RunFor(500'000);
-  EXPECT_GT(cluster_->site(SiteId(0)).counters().Get("site.checkpoints"),
+  EXPECT_GT(cluster_->site(SiteId(0)).metrics().Get("site.checkpoints"),
             before);
 }
 

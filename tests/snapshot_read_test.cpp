@@ -50,9 +50,7 @@ class SnapshotReadTest : public ::testing::Test {
   }
 
   uint64_t Counter(const std::string& name) {
-    auto counters = cluster_->AggregateCounters().counters();
-    auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
+    return cluster_->AggregateCounters().Get(name);
   }
 
   std::unique_ptr<core::Catalog> catalog_;

@@ -1,12 +1,12 @@
 // Transport observability under scripted faults: the retransmit, dup-drop,
 // pure-ack, piggyback-ack and window-drop counters must tell the true story
 // of what the window protocol did — they are what the chaos runner's digests
-// and the E3/E10 experiments report.
+// and the E3/E10 experiments report — and keep telling it across a site's
+// crash and recovery.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "net/link.h"
 #include "net/message.h"
@@ -14,6 +14,7 @@
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "sim/kernel.h"
+#include "system/cluster.h"
 
 namespace dvp {
 namespace {
@@ -159,6 +160,38 @@ TEST(TransportCounters, WindowDropBoundsOutOfOrderState) {
   EXPECT_EQ(p.t0.outstanding(), 0u);
   EXPECT_GT(p.c1.Get("transport.window_drop"), 0u)
       << "seqs far beyond the watermark must be refused";
+}
+
+// A site's Crash destroys its Transport and recovery builds a new one, but
+// the accessors read the site's registry handles: the count is per site and
+// carries across the crash instead of restarting at 0.
+TEST(TransportCounters, RetransmitCountSurvivesCrashRecover) {
+  core::Catalog catalog;
+  ItemId item = catalog.AddItem("pool", core::CountDomain::Instance(), 100);
+  system::ClusterOptions opts;
+  opts.num_sites = 2;
+  opts.seed = 5;
+  system::Cluster cluster(&catalog, opts);
+  cluster.BootstrapEven();
+  site::Site& site0 = cluster.site(SiteId(0));
+
+  // Every frame 0→1 is lost, so the Vm transfer is retransmitted until the
+  // crash, and again (re-driven from the log) after recovery.
+  net::LinkParams dead = opts.link;
+  dead.loss_prob = 1.0;
+  cluster.network().SetLinkParams(SiteId(0), SiteId(1), dead);
+  ASSERT_TRUE(site0.SendValue(SiteId(1), item, 10).ok());
+  cluster.RunFor(2'000'000);
+  uint64_t before_crash = site0.transport()->retransmissions();
+  ASSERT_GT(before_crash, 0u);
+
+  cluster.CrashSite(SiteId(0));
+  cluster.RunFor(100'000);
+  cluster.RecoverSite(SiteId(0));
+  cluster.RunFor(2'000'000);
+  EXPECT_GT(site0.transport()->retransmissions(), before_crash);
+  EXPECT_EQ(site0.transport()->retransmissions(),
+            site0.metrics().Get("transport.retransmit"));
 }
 
 }  // namespace

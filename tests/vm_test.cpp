@@ -81,7 +81,7 @@ TEST_F(VmFixture, SurvivesHeavyLossAndDuplication) {
   EXPECT_EQ(audit.total(), 100);
   EXPECT_EQ(audit.live_vms, 0u);
   // Duplicates were recognised, not double-credited.
-  CounterSet counters = cluster_->AggregateCounters();
+  obs::MetricsRegistry counters = cluster_->AggregateCounters();
   EXPECT_EQ(counters.Get("vm.accepted"), 10u);
 }
 

@@ -4,7 +4,6 @@
 // once their record is durable; a crash drops exactly the unforced suffix.
 #include <gtest/gtest.h>
 
-#include "common/histogram.h"
 #include "obs/metrics.h"
 #include "sim/kernel.h"
 #include "wal/group_commit.h"

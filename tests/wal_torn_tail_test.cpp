@@ -151,7 +151,7 @@ TEST(WalTornTail, SiteRecoversThroughTornTail) {
   EXPECT_EQ(report.valid_prefix, before - 1);
   // Recover() truncated the tear away; the RecoveryRec then went on top.
   EXPECT_GE(cluster.storage(SiteId(2)).log_size(), before - 1);
-  EXPECT_EQ(cluster.site(SiteId(2)).counters().Get("recovery.torn_tail"), 1u);
+  EXPECT_EQ(cluster.site(SiteId(2)).metrics().Get("recovery.torn_tail"), 1u);
   EXPECT_TRUE(cluster.AuditAll().ok());
   EXPECT_TRUE(cluster.AuditAllVolatile().ok());
 
@@ -256,7 +256,7 @@ TEST(WalTornTail, SiteCrashMidBatchAbortsOnlyTheUnforcedGroup) {
   for (const txn::TxnResult& r : phase2) {
     EXPECT_EQ(r.outcome, txn::TxnOutcome::kAbortSiteFailure);
   }
-  EXPECT_EQ(cluster.site(SiteId(2)).counters().Get("wal.dropped_unforced"),
+  EXPECT_EQ(cluster.site(SiteId(2)).metrics().Get("wal.dropped_unforced"),
             6u);
   EXPECT_EQ(cluster.storage(SiteId(2)).log_size(), durable_before);
 

@@ -41,7 +41,7 @@ TEST_F(WorkloadTest, MixProportionsAreRespected) {
   w.seed = 5;
   WorkloadDriver driver(adapter_.get(), items_, w);
   Rng rng(5);
-  int dec = 0, inc = 0, read = 0;
+  int dec = 0, inc = 0, read = 0, snapshot = 0;
   for (int i = 0; i < 20'000; ++i) {
     txn::TxnSpec spec = driver.MakeSpec(rng);
     switch (spec.ops.front().kind) {
@@ -54,11 +54,15 @@ TEST_F(WorkloadTest, MixProportionsAreRespected) {
       case txn::TxnOp::Kind::kReadFull:
         ++read;
         break;
+      case txn::TxnOp::Kind::kReadSnapshot:
+        ++snapshot;
+        break;
     }
   }
   EXPECT_NEAR(dec / 20'000.0, 0.6, 0.02);
   EXPECT_NEAR(inc / 20'000.0, 0.3, 0.02);
   EXPECT_NEAR(read / 20'000.0, 0.1, 0.02);
+  EXPECT_EQ(snapshot, 0) << "p_snapshot defaults to 0";
 }
 
 TEST_F(WorkloadTest, AmountsStayInRange) {
