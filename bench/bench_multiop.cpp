@@ -103,7 +103,7 @@ Outcome RunOne(uint64_t seed) {
       cluster.AggregateCounters().Get("txn.multiop.return_sends");
 
   // Per-item conservation (legs counted individually)…
-  Status audit = cluster.AuditAllBulk();
+  Status audit = cluster.AuditAll();
   if (!audit.ok()) {
     std::cout << "CONSERVATION VIOLATION (seed " << seed
               << "): " << audit.ToString() << "\n";

@@ -167,7 +167,7 @@ Outcome RunPoint(const ScalePoint& p) {
   out.pool_upstream_allocs =
       pool_after.upstream_allocations - pool_before.upstream_allocations;
 
-  Status audit = cluster.AuditAllBulk();
+  Status audit = cluster.AuditAll();
   if (!audit.ok()) {
     std::cout << "CONSERVATION VIOLATION (" << p.label
               << "): " << audit.ToString() << "\n";

@@ -148,15 +148,20 @@ StatusOr<net::EnvelopePtr> DecodeVmClosure(wal::Decoder& dec) {
 void EncodeCcNack(std::string* body, const CcNackMsg& m) {
   wal::PutVarint64(body, m.from.value());
   wal::PutVarint64(body, m.ts_packed);
+  wal::PutVarint64(body, m.txn.value());
+  wal::PutVarint64(body, m.round);
 }
 
 StatusOr<net::EnvelopePtr> DecodeCcNack(wal::Decoder& dec) {
   auto m = net::MakeEnvelope<CcNackMsg>();
-  uint64_t from = 0;
-  if (!dec.GetVarint64(&from) || !dec.GetVarint64(&m->ts_packed)) {
+  uint64_t from = 0, txn = 0, round = 0;
+  if (!dec.GetVarint64(&from) || !dec.GetVarint64(&m->ts_packed) ||
+      !dec.GetVarint64(&txn) || !dec.GetVarint64(&round)) {
     return Status::Corruption("cc nack: truncated");
   }
   m->from = SiteId(static_cast<uint32_t>(from));
+  m->txn = TxnId(txn);
+  m->round = static_cast<uint32_t>(round);
   return net::EnvelopePtr(std::move(m));
 }
 

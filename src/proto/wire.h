@@ -133,18 +133,23 @@ struct VmClosureMsg final : public net::Envelope {
   }
 };
 
-/// Courtesy refusal when the Conc1 timestamp rule blocks a request: carries
-/// the refusing site's clock so the origin's Lamport counter catches up
-/// (§7's "bump-up" — without it, a site with a lagging clock could have its
-/// requests refused indefinitely). A retry of the transaction then carries a
-/// competitive timestamp. Purely an optimisation; losing it costs nothing.
+/// Refusal when the Conc1 timestamp rule blocks a request: carries the
+/// refusing site's clock so the origin's Lamport counter catches up (§7's
+/// "bump-up" — without it, a site with a lagging clock could have its
+/// requests refused indefinitely). `txn` and `round` echo the refused
+/// request: when they name a gather that is still in that round, the origin
+/// re-asks its remaining shortfall at once under a fresh timestamp instead of
+/// waiting for the paced gather-retry timer. Datagram: losing it costs at
+/// most that one timer round.
 struct CcNackMsg final : public net::Envelope {
   SiteId from;
   uint64_t ts_packed = 0;
+  TxnId txn;           ///< the refused request's transaction
+  uint32_t round = 0;  ///< the refused request's gather round
 
   std::string_view Tag() const override { return "CcNack"; }
   size_t EncodedSize() const override {
-    return net::kEnvelopeHeaderBytes + 4 + 8;  // from, ts
+    return net::kEnvelopeHeaderBytes + 4 + 8 + 8 + 4;  // from, ts, txn, round
   }
 };
 

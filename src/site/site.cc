@@ -285,8 +285,7 @@ bool Site::OnEnvelope(SiteId from, net::EnvelopePtr payload) {
   }
   if (const auto* nack =
           dynamic_cast<const proto::CcNackMsg*>(payload.get())) {
-    clock_.Observe(Timestamp::FromPacked(nack->ts_packed));
-    metrics_.counter("req.nack_received")->Inc();
+    txn_->OnCcNack(*nack);
     return true;
   }
   if (const auto* snack =

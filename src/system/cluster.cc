@@ -134,11 +134,6 @@ Status Cluster::AuditAll() const {
   return verify::AuditAll(storages, *catalog_);
 }
 
-Status Cluster::AuditAllBulk() const {
-  auto storages = Storages();
-  return verify::AuditAllBulk(storages, *catalog_);
-}
-
 verify::LiveValueFn Cluster::LiveView() const {
   return [this](SiteId s, ItemId item) -> std::optional<core::Value> {
     const site::Site& site = *sites_[s.value()];

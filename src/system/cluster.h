@@ -109,11 +109,9 @@ class Cluster {
 
   /// Durable conservation breakdown for one item.
   verify::ConservationBreakdown Audit(ItemId item) const;
-  /// Checks the conservation invariant for all items.
+  /// Checks the durable conservation invariant for all items (one log pass
+  /// per site; see verify::AuditAll).
   Status AuditAll() const;
-  /// Same durable-view invariant, one log pass per site instead of one per
-  /// site per item; the only audit that finishes at 10⁶ items × 100 sites.
-  Status AuditAllBulk() const;
 
   /// Checks conservation in *both* views: the durable one and the volatile
   /// one, where every up site contributes its live in-memory fragment

@@ -95,6 +95,8 @@ TxnManager::TxnManager(SiteId self, uint32_t num_sites, runtime::Runtime* rt,
       m_gather_directed_(metrics->counter("placement.gather.directed")),
       m_gather_fallback_(metrics->counter("placement.gather.fallback")),
       m_surplus_nack_(metrics->counter("req.surplus_nack")),
+      m_nack_received_(metrics->counter("req.nack_received")),
+      m_gather_nack_reask_(metrics->counter("txn.gather.nack_reask")),
       m_multiop_committed_(metrics->counter("txn.multiop.committed")),
       m_multiop_aborted_(metrics->counter("txn.multiop.aborted")),
       m_multiop_return_(metrics->counter("txn.multiop.return_sends")),
@@ -546,12 +548,15 @@ void TxnManager::OnRequest(SiteId from, const proto::RequestMsg& msg) {
     // Conc1 gate: TS(t) must dominate TS(d_j). Equality is the same
     // transaction returning for another gather round (timestamps are
     // unique), which is always safe to honor. The refusal is answered with a
-    // clock-carrying NACK so a lagging origin catches up and can retry.
+    // clock-carrying NACK naming the refused round, so a lagging origin
+    // catches up and re-asks at once (OnCcNack).
     if (policy_.scheme() == cc::CcScheme::kConc1 &&
         req_ts < store_->ts(part.item)) {
       m_req_ignored_cc_->Inc();
       auto nack = net::MakeEnvelope<proto::CcNackMsg>();
       nack->from = self_;
+      nack->txn = msg.txn;
+      nack->round = msg.round;
       nack->trace_id = msg.trace_id;
       // Carry whichever is larger: our clock or the stamp that beat the
       // request -- the origin must exceed the *stamp* on its retry.
@@ -920,27 +925,53 @@ void TxnManager::ArmGatherRetry(PendingTxn& t) {
     if (it == pending_.end()) return;
     PendingTxn& t = *it->second;
     if (t.commit_scheduled || t.shortfall.empty()) return;
-    // A CC-refused round is not a death sentence: the CcNack bumped this
-    // site's clock past the refusing fragment's stamp, so re-issue the
-    // still-missing asks under a fresh timestamp. Sound for the Conc1 gate —
-    // the local locks were granted under an older ts and raising it
-    // preserves every MayLock comparison; the commit record stamps fragments
-    // with the final (freshest) ts.
-    t.ts = clock_->Next();
-    if (policy_.StampOnLock()) {
-      for (ItemId item : t.items) store_->SetTs(item, t.ts);
-    }
-    // Re-request only what is still missing, against freshly ranked (or
-    // freshly drawn) targets — the previous round's grants and NACK feedback
-    // have already reshaped the ask.
-    std::vector<proto::RequestPart> parts;
-    for (const auto& [item, amount] : t.shortfall) {
-      parts.push_back({item, amount, false});
-    }
-    ++t.rounds;
-    SendRequests(t, parts, t.rounds);
-    ArmGatherRetry(t);
+    RetryGather(t);
   });
+}
+
+void TxnManager::RetryGather(PendingTxn& t) {
+  // A CC-refused round is not a death sentence: the CcNack bumped this
+  // site's clock past the refusing fragment's stamp, so re-issue the
+  // still-missing asks under a fresh timestamp. Sound for the Conc1 gate —
+  // the local locks were granted under an older ts and raising it
+  // preserves every MayLock comparison; the commit record stamps fragments
+  // with the final (freshest) ts.
+  t.ts = clock_->Next();
+  if (policy_.StampOnLock()) {
+    for (ItemId item : t.items) store_->SetTs(item, t.ts);
+  }
+  // Re-request only what is still missing, against freshly ranked (or
+  // freshly drawn) targets — the previous round's grants and NACK feedback
+  // have already reshaped the ask.
+  std::vector<proto::RequestPart> parts;
+  for (const auto& [item, amount] : t.shortfall) {
+    parts.push_back({item, amount, false});
+  }
+  ++t.rounds;
+  SendRequests(t, parts, t.rounds);
+  // The paced timer restarts from this round (a no-op cancel when the timer
+  // itself is what fired).
+  t.gather_retry.Cancel();
+  ArmGatherRetry(t);
+}
+
+void TxnManager::OnCcNack(const proto::CcNackMsg& msg) {
+  clock_->Observe(Timestamp::FromPacked(msg.ts_packed));
+  m_nack_received_->Inc();
+  // gather_retry_us == 0 means one round only; the NACK just bumps the
+  // clock for the client's next attempt.
+  if (options_.gather_retry_us <= 0) return;
+  auto it = pending_.find(msg.txn);
+  if (it == pending_.end()) return;
+  PendingTxn& t = *it->second;
+  // Only a NACK for the round in flight re-asks: the first one moves
+  // t.rounds on, so a second donor refusing the same round — or a NACK for
+  // a round already superseded — finds the round changed and sends nothing.
+  if (msg.round != t.rounds || t.commit_scheduled || t.shortfall.empty()) {
+    return;
+  }
+  m_gather_nack_reask_->Inc();
+  RetryGather(t);
 }
 
 void TxnManager::Reevaluate(PendingTxn& t) {

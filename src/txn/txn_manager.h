@@ -131,6 +131,12 @@ class TxnManager {
   /// placement cache entry for (from, item) so the next gather redirects.
   void OnSurplusNack(SiteId from, const proto::SurplusNackMsg& msg);
 
+  /// Conc1 refusal of one of our requests: observes the refuser's clock
+  /// (§7 bump-up) and, when the NACK names the round a still-short gather is
+  /// in, re-asks the remaining shortfall now instead of at the next
+  /// gather-retry tick. No-op beyond the clock when gather_retry_us == 0.
+  void OnCcNack(const proto::CcNackMsg& msg);
+
   /// Routes an incoming Vm transfer. Returns true if a pending transaction
   /// holding the item's lock absorbed it; otherwise the caller should fall
   /// back to the unlocked acceptance path.
@@ -249,6 +255,10 @@ class TxnManager {
   void SendReadRound(PendingTxn& t, ItemId item, bool only_missing);
   void ArmReadRetry(PendingTxn& t);
   void ArmGatherRetry(PendingTxn& t);
+  /// One more gather round for the remaining shortfall: fresh timestamp,
+  /// locked items restamped, requests re-sent, paced timer re-armed. Run by
+  /// the gather-retry timer and by a CcNack for the current round.
+  void RetryGather(PendingTxn& t);
   /// Sends the current snapshot round's request. `only_stale` (the retry
   /// path) re-asks only sites whose latest reply predates the round.
   void SendSnapshotRound(PendingTxn& t, bool only_stale);
@@ -298,6 +308,9 @@ class TxnManager {
   obs::Counter* m_gather_directed_;
   obs::Counter* m_gather_fallback_;
   obs::Counter* m_surplus_nack_;
+  obs::Counter* m_nack_received_;
+  /// Gather rounds started by a CcNack rather than the gather-retry timer.
+  obs::Counter* m_gather_nack_reask_;
   /// Multi-item atomic-set counters. They only move on multiop code paths,
   /// so workloads without atomic sets keep byte-identical counter sets.
   obs::Counter* m_multiop_committed_;

@@ -83,35 +83,7 @@ ConservationBreakdown AuditItem(
 }
 
 Status AuditAll(std::span<const wal::StableStorage* const> storages,
-                const core::Catalog& catalog, const LiveValueFn& live) {
-  for (ItemId item : catalog.AllItems()) {
-    ConservationBreakdown b = AuditItem(storages, catalog, item, live);
-    core::Value expect = catalog.info(item).initial_total + b.committed_delta;
-    if (b.total() != expect) {
-      return Status::Internal(
-          "conservation violated for item " + catalog.info(item).name +
-          ": fragments=" + std::to_string(b.site_total) +
-          " in_flight=" + std::to_string(b.in_flight) +
-          " committed_delta=" + std::to_string(b.committed_delta) +
-          " expected=" + std::to_string(expect));
-    }
-    core::Value expect_vol =
-        catalog.info(item).initial_total + b.volatile_committed_delta;
-    if (b.has_volatile && b.volatile_total() != expect_vol) {
-      return Status::Internal(
-          "volatile conservation violated for item " +
-          catalog.info(item).name +
-          ": live_fragments=" + std::to_string(b.volatile_site_total) +
-          " (durable=" + std::to_string(b.site_total) +
-          ") in_flight=" + std::to_string(b.volatile_in_flight) +
-          " expected=" + std::to_string(expect_vol));
-    }
-  }
-  return Status::OK();
-}
-
-Status AuditAllBulk(std::span<const wal::StableStorage* const> storages,
-                    const core::Catalog& catalog) {
+                const core::Catalog& catalog) {
   struct LiveVm {
     core::Value amount = 0;
     ItemId item;
@@ -170,6 +142,35 @@ Status AuditAllBulk(std::span<const wal::StableStorage* const> storages,
           " in_flight=" + std::to_string(flight) +
           " committed_delta=" + std::to_string(delta) +
           " expected=" + std::to_string(expect));
+    }
+  }
+  return Status::OK();
+}
+
+Status AuditAll(std::span<const wal::StableStorage* const> storages,
+                const core::Catalog& catalog, const LiveValueFn& live) {
+  if (!live) return AuditAll(storages, catalog);
+  for (ItemId item : catalog.AllItems()) {
+    ConservationBreakdown b = AuditItem(storages, catalog, item, live);
+    core::Value expect = catalog.info(item).initial_total + b.committed_delta;
+    if (b.total() != expect) {
+      return Status::Internal(
+          "conservation violated for item " + catalog.info(item).name +
+          ": fragments=" + std::to_string(b.site_total) +
+          " in_flight=" + std::to_string(b.in_flight) +
+          " committed_delta=" + std::to_string(b.committed_delta) +
+          " expected=" + std::to_string(expect));
+    }
+    core::Value expect_vol =
+        catalog.info(item).initial_total + b.volatile_committed_delta;
+    if (b.has_volatile && b.volatile_total() != expect_vol) {
+      return Status::Internal(
+          "volatile conservation violated for item " +
+          catalog.info(item).name +
+          ": live_fragments=" + std::to_string(b.volatile_site_total) +
+          " (durable=" + std::to_string(b.site_total) +
+          ") in_flight=" + std::to_string(b.volatile_in_flight) +
+          " expected=" + std::to_string(expect_vol));
     }
   }
   return Status::OK();

@@ -560,6 +560,8 @@ TEST(PacketCodecAppendTest, AllEnvelopeKindsEncodeIdenticallyViaAppendApis) {
     auto m = net::MakeEnvelope<proto::CcNackMsg>();
     m->from = SiteId(2);
     m->ts_packed = 5'003;
+    m->txn = TxnId(77);
+    m->round = 3;
     payloads.push_back(std::move(m));
   }
   {
@@ -624,6 +626,36 @@ TEST(PacketCodecAppendTest, AllEnvelopeKindsEncodeIdenticallyViaAppendApis) {
       ASSERT_TRUE(rt.ok()) << rt.status().ToString();
       EXPECT_EQ(rt->dst, SiteId(d));
       EXPECT_EQ(rt->payload->Tag(), p.payload->Tag());
+    }
+  }
+}
+
+/// The CcNack echoes the refused request's transaction and gather round —
+/// the origin keys its immediate re-ask on them — so both must survive the
+/// wire exactly, including the extremes (an invalid TxnId is all ones).
+TEST(CcNackCodecTest, TxnAndRoundRoundTrip) {
+  Rng rng(6'060);
+  for (int trial = 0; trial < 200; ++trial) {
+    proto::CcNackMsg m;
+    m.from = SiteId(uint32_t(rng.NextBounded(64)));
+    m.ts_packed = rng.NextU64() >> 1;
+    m.txn = trial == 0 ? TxnId::Invalid() : TxnId(rng.NextU64() >> 1);
+    m.round = trial == 1 ? UINT32_MAX : uint32_t(rng.NextBounded(1 << 20));
+    m.trace_id = rng.NextU64() >> 1;
+    std::string blob = proto::EncodeEnvelope(m);
+    auto rt = proto::DecodeEnvelope(blob);
+    ASSERT_TRUE(rt.ok()) << rt.status().ToString();
+    ASSERT_EQ((*rt)->Tag(), "CcNack");
+    const auto& out = static_cast<const proto::CcNackMsg&>(**rt);
+    EXPECT_EQ(out.from, m.from);
+    EXPECT_EQ(out.ts_packed, m.ts_packed);
+    EXPECT_EQ(out.txn, m.txn);
+    EXPECT_EQ(out.round, m.round);
+    EXPECT_EQ(out.trace_id, m.trace_id);
+    EXPECT_EQ(out.EncodedSize(), net::kEnvelopeHeaderBytes + 24);
+    for (size_t cut = 0; cut < blob.size(); ++cut) {
+      EXPECT_FALSE(proto::DecodeEnvelope(blob.substr(0, cut)).ok())
+          << "accepted a CcNack truncated to " << cut;
     }
   }
 }

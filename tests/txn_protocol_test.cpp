@@ -3,6 +3,7 @@
 // gauge-domain behaviour, fan-out options.
 #include <gtest/gtest.h>
 
+#include "proto/wire.h"
 #include "system/cluster.h"
 
 namespace dvp {
@@ -186,8 +187,164 @@ TEST_F(TxnProtocolTest, Conc1StaleRequesterRefusedThenNackEnablesRetry) {
   // The refusals carried clock NACKs; site 0's clock has caught up and the
   // retry's timestamp dominates the stamps.
   EXPECT_GE(cluster_->AggregateCounters().Get("req.nack_received"), 1u);
+  // gather_retry_us == 0 means a single round: the NACKs bump the clock but
+  // never re-ask.
+  EXPECT_EQ(r.rounds, 1u);
+  EXPECT_EQ(cluster_->AggregateCounters().Get("txn.gather.nack_reask"), 0u);
   TxnResult retry = SubmitAndRun(SiteId(0), need);
   EXPECT_EQ(retry.outcome, TxnOutcome::kCommitted);
+  EXPECT_TRUE(cluster_->AuditAll().ok());
+}
+
+// With paced gather rounds on, the same refusal no longer costs the client a
+// retry, nor the transaction a timer interval: the first CcNack re-asks the
+// shortfall at once under a timestamp that beats the refusing stamp, and the
+// SAME transaction commits one round trip later.
+TEST_F(TxnProtocolTest, Conc1NackReasksTheGatherWithoutWaitingForTheTimer) {
+  system::ClusterOptions opts;
+  opts.site.txn.gather_retry_us = 100'000;
+  Build(opts);
+  for (uint32_t s = 1; s < 4; ++s) {
+    cluster_->site(SiteId(s)).store()->SetTs(item_,
+                                             Timestamp(1000, SiteId(s)));
+  }
+  TxnSpec drain;
+  drain.ops = {TxnOp::Decrement(item_, 100)};
+  ASSERT_EQ(SubmitAndRun(SiteId(0), drain).outcome, TxnOutcome::kCommitted);
+  TxnSpec need;
+  need.ops = {TxnOp::Decrement(item_, 50)};
+  TxnResult r = SubmitAndRun(SiteId(0), need);
+  EXPECT_EQ(r.outcome, TxnOutcome::kCommitted);
+  EXPECT_EQ(r.rounds, 2u);
+  EXPECT_LT(r.latency_us, opts.site.txn.gather_retry_us);
+  obs::MetricsRegistry counters = cluster_->AggregateCounters();
+  EXPECT_EQ(counters.Get("req.ignored.cc"), 3u);
+  EXPECT_EQ(counters.Get("req.nack_received"), 3u);
+  // Three donors refused round 1; only the first NACK re-asked.
+  EXPECT_EQ(counters.Get("txn.gather.nack_reask"), 1u);
+  EXPECT_TRUE(cluster_->AuditAll().ok());
+}
+
+// A lost NACK costs exactly the timer round it used to: the gather-retry
+// timer re-asks (still under the lagging clock, so it is refused again), and
+// that round's NACK — now delivered — re-asks at once.
+TEST_F(TxnProtocolTest, DroppedConc1NackFallsBackToTheTimerRound) {
+  system::ClusterOptions opts;
+  opts.site.txn.gather_retry_us = 100'000;
+  Build(opts);
+  for (uint32_t s = 1; s < 4; ++s) {
+    cluster_->site(SiteId(s)).store()->SetTs(item_,
+                                             Timestamp(1000, SiteId(s)));
+  }
+  TxnSpec drain;
+  drain.ops = {TxnOp::Decrement(item_, 100)};
+  ASSERT_EQ(SubmitAndRun(SiteId(0), drain).outcome, TxnOutcome::kCommitted);
+  // Every path back to site 0 drops packets while round 1 is refused.
+  net::LinkParams lossy = opts.link;
+  lossy.loss_prob = 1.0;
+  for (uint32_t s = 1; s < 4; ++s) {
+    cluster_->network().SetLinkParams(SiteId(s), SiteId(0), lossy);
+  }
+  TxnResult r;
+  bool done = false;
+  TxnSpec need;
+  need.ops = {TxnOp::Decrement(item_, 50)};
+  ASSERT_TRUE(cluster_
+                  ->Submit(SiteId(0), need,
+                           [&](const TxnResult& res) {
+                             r = res;
+                             done = true;
+                           })
+                  .ok());
+  cluster_->RunFor(50'000);
+  EXPECT_FALSE(done);
+  EXPECT_EQ(cluster_->AggregateCounters().Get("req.ignored.cc"), 3u);
+  EXPECT_EQ(cluster_->AggregateCounters().Get("req.nack_received"), 0u);
+  for (uint32_t s = 1; s < 4; ++s) {
+    cluster_->network().SetLinkParams(SiteId(s), SiteId(0), opts.link);
+  }
+  cluster_->RunFor(2'000'000);
+  ASSERT_TRUE(done);
+  EXPECT_EQ(r.outcome, TxnOutcome::kCommitted);
+  // Round 2 came from the timer, round 3 from round 2's NACK.
+  EXPECT_EQ(r.rounds, 3u);
+  EXPECT_GE(r.latency_us, opts.site.txn.gather_retry_us);
+  EXPECT_LT(r.latency_us, 2 * opts.site.txn.gather_retry_us);
+  EXPECT_EQ(cluster_->AggregateCounters().Get("txn.gather.nack_reask"), 1u);
+  EXPECT_TRUE(cluster_->AuditAll().ok());
+}
+
+// Only a NACK naming the round a still-short gather is in re-asks: one for
+// another round, another transaction, or a gather whose commit is already
+// scheduled sends no request.
+TEST_F(TxnProtocolTest, Conc1NackForAnotherRoundOrAScheduledCommitSendsNothing) {
+  system::ClusterOptions opts;
+  opts.site.txn.gather_retry_us = 100'000;
+  opts.site.txn.local_compute_us = 30'000;
+  Build(opts);
+  TxnSpec drain;
+  drain.ops = {TxnOp::Decrement(item_, 100)};
+  ASSERT_EQ(SubmitAndRun(SiteId(0), drain).outcome, TxnOutcome::kCommitted);
+  txn::TxnManager* txns = cluster_->site(SiteId(0)).txns();
+  auto nack_for = [](TxnId txn, uint32_t round) {
+    proto::CcNackMsg m;
+    m.from = SiteId(1);
+    m.ts_packed = Timestamp(5, SiteId(1)).packed();
+    m.txn = txn;
+    m.round = round;
+    return m;
+  };
+  auto req_msgs = [&]() {
+    return cluster_->AggregateCounters().Get("req.msgs");
+  };
+
+  // A gather stuck in round 1: the partition swallows every reply.
+  ASSERT_TRUE(cluster_->Partition({{SiteId(0)}, {SiteId(1), SiteId(2),
+                                                 SiteId(3)}})
+                  .ok());
+  TxnSpec need;
+  need.ops = {TxnOp::Decrement(item_, 50)};
+  TxnResult r;
+  bool done = false;
+  StatusOr<TxnId> id = cluster_->Submit(SiteId(0), need,
+                                        [&](const TxnResult& res) {
+                                          r = res;
+                                          done = true;
+                                        });
+  ASSERT_TRUE(id.ok());
+  cluster_->RunFor(10'000);
+  uint64_t sent = req_msgs();
+  ASSERT_EQ(sent, 3u);
+  txns->OnCcNack(nack_for(*id, 0));
+  txns->OnCcNack(nack_for(*id, 2));
+  txns->OnCcNack(nack_for(TxnId(id->value() + 1), 1));
+  EXPECT_EQ(req_msgs(), sent);
+  // The current round re-asks once; a second NACK for it is now stale.
+  txns->OnCcNack(nack_for(*id, 1));
+  EXPECT_EQ(req_msgs(), sent + 3);
+  txns->OnCcNack(nack_for(*id, 1));
+  EXPECT_EQ(req_msgs(), sent + 3);
+
+  // Round 2 was lost to the partition. Heal; the timer's round 3 is granted
+  // and the commit is scheduled into the 30 ms compute window, where no
+  // NACK may re-ask.
+  cluster_->Heal();
+  while (!done && cluster_->site(SiteId(0)).LocalValue(item_) < 50) {
+    cluster_->RunFor(1'000);
+  }
+  ASSERT_FALSE(done);
+  sent = req_msgs();
+  uint64_t reasks =
+      cluster_->AggregateCounters().Get("txn.gather.nack_reask");
+  for (uint32_t round = 0; round < 5; ++round) {
+    txns->OnCcNack(nack_for(*id, round));
+  }
+  EXPECT_EQ(req_msgs(), sent);
+  EXPECT_EQ(cluster_->AggregateCounters().Get("txn.gather.nack_reask"),
+            reasks);
+  cluster_->RunFor(100'000);
+  ASSERT_TRUE(done);
+  EXPECT_EQ(r.outcome, TxnOutcome::kCommitted);
   EXPECT_TRUE(cluster_->AuditAll().ok());
 }
 
