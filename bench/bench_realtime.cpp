@@ -16,7 +16,9 @@
 //     <= 5.5 syscalls per txn.
 //
 //  3. E14 under loss: the same protocol configuration with injected datagram
-//     drops; it must settle, retransmit, and pass the conservation audit.
+//     drops; it must settle, retransmit, and pass the conservation audit. It
+//     also reports how lost gathers were recovered: round-1 re-asks at the
+//     round-trip deadline, and outstanding grants the donors resent.
 //
 // `--json <path>` writes the strict-JSON report CI pins (deterministic
 // fields) and bounds (timing fields).
@@ -169,6 +171,10 @@ struct OpenLoopResult {
   runtime::UdpConduit::Stats udp;
   uint64_t envelope_allocs = 0;  // pool envelopes consumed by this run
   uint64_t retransmissions = 0;  // summed over sites' transports
+  /// Round-1 gathers re-asked at the round-trip deadline, and outstanding
+  /// grants donors resent in answer, summed over sites.
+  uint64_t loss_reasks = 0;
+  uint64_t resent_outstanding = 0;
 };
 
 /// One open-loop run: Poisson arrivals at `rate_per_sec`, Zipf item skew.
@@ -261,6 +267,9 @@ OpenLoopResult RunOpenLoop(uint64_t seed, uint32_t txns, uint64_t drop_one_in,
   for (uint32_t s = 0; s < kNumSites; ++s) {
     net::Transport* t = cluster.site(SiteId(s)).transport();
     res.retransmissions += t->retransmissions();
+    const obs::MetricsRegistry& m = cluster.site(SiteId(s)).metrics();
+    res.loss_reasks += m.Get("txn.gather.loss_reask");
+    res.resent_outstanding += m.Get("req.resent_outstanding");
   }
   res.decided = decided.load();
   res.committed = committed.load();
@@ -404,12 +413,17 @@ int Main(int argc, char** argv) {
   check(lossy.decided == kLossyTxns, "lossy run settled");
   check(lossy.audit_ok, "lossy conservation audit");
   check(lossy.retransmissions > 0, "loss actually forced retransmissions");
-  std::printf("  lossy: %llu injected drops, %llu retransmits\n",
-              static_cast<unsigned long long>(
-                  lossy.udp.datagrams_dropped_injected),
-              static_cast<unsigned long long>(lossy.retransmissions));
+  std::printf(
+      "  lossy: %llu injected drops, %llu retransmits, %llu round-trip "
+      "re-asks, %llu outstanding grants resent\n",
+      static_cast<unsigned long long>(lossy.udp.datagrams_dropped_injected),
+      static_cast<unsigned long long>(lossy.retransmissions),
+      static_cast<unsigned long long>(lossy.loss_reasks),
+      static_cast<unsigned long long>(lossy.resent_outstanding));
   json.Set("e14.lossy.injected_drops", lossy.udp.datagrams_dropped_injected);
   json.Set("e14.lossy.retransmissions", lossy.retransmissions);
+  json.Set("e14.lossy.loss_reasks", lossy.loss_reasks);
+  json.Set("e14.lossy.resent_outstanding", lossy.resent_outstanding);
   json.Set("e14.ok", ok);
 
   if (!json_path.empty()) json.WriteTo(json_path);

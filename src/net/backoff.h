@@ -1,10 +1,11 @@
-// Shared capped-exponential-backoff arithmetic. The transport's per-peer
-// retransmission schedule and the transaction manager's read-retry rounds
-// both need the same two ingredients: a base interval doubled per attempt up
-// to a cap, and a deterministic jitter that spreads simultaneous retriers
-// without consuming any RNG stream (runs must stay a pure function of seed
-// and schedule). Keeping the arithmetic here keeps the two schedules
-// provably identical in shape and lets tests pin it once.
+// Shared retry-timing arithmetic. The transport's per-peer retransmission
+// schedule and the transaction manager's read-retry rounds both need the same
+// two ingredients: a base interval doubled per attempt up to a cap, and a
+// deterministic jitter that spreads simultaneous retriers without consuming
+// any RNG stream (runs must stay a pure function of seed and schedule). The
+// gather's first re-ask needs the third: a round-trip estimate (RttEstimator).
+// Keeping the arithmetic here keeps the schedules provably identical in shape
+// and lets tests pin it once.
 #pragma once
 
 #include <algorithm>
@@ -48,5 +49,39 @@ inline SimTime Jittered(SimTime interval, SimTime max_us, uint64_t salt) {
                      Mix(salt) % static_cast<uint64_t>(interval / 4 + 1));
   return std::min(jittered, max_us);
 }
+
+/// Jacobson's round-trip estimator in integer microseconds (RFC 6298 §2,
+/// alpha = 1/8, beta = 1/4). Callers apply Karn's rule themselves: a sample
+/// must time an exchange that was never repeated, or the reply could answer
+/// either copy.
+struct RttEstimator {
+  SimTime srtt_us = 0;
+  SimTime rttvar_us = 0;
+  bool has_sample = false;
+
+  /// Folds in one round-trip measurement `r_us` >= 0.
+  void Sample(SimTime r_us) {
+    if (!has_sample) {
+      // First measurement: SRTT = R, RTTVAR = R/2.
+      srtt_us = r_us;
+      rttvar_us = r_us / 2;
+      has_sample = true;
+      return;
+    }
+    // RTTVAR is updated from the OLD srtt, as RFC 6298 §2.3 orders it.
+    SimTime err = srtt_us > r_us ? srtt_us - r_us : r_us - srtt_us;
+    rttvar_us = (3 * rttvar_us + err) / 4;
+    srtt_us = (7 * srtt_us + r_us) / 8;
+  }
+
+  /// Retransmission deadline SRTT + max(G, 4*RTTVAR) with a 1 us clock
+  /// granularity G (RFC 6298 §2.2) — so a perfectly steady round trip still
+  /// lands strictly before the deadline — never above `ceiling_us`; the
+  /// ceiling itself until a sample exists.
+  SimTime Timeout(SimTime ceiling_us) const {
+    if (!has_sample) return ceiling_us;
+    return std::min(srtt_us + std::max<SimTime>(1, 4 * rttvar_us), ceiling_us);
+  }
+};
 
 }  // namespace dvp::net::backoff

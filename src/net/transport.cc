@@ -186,6 +186,25 @@ void Transport::CancelReliable(uint64_t token) {
   if (po != out_.end()) po->second.pending.erase(seq);
 }
 
+bool Transport::Resend(uint64_t token) {
+  auto it = token_index_.find(token);
+  if (it == token_index_.end()) return false;
+  auto [dst, seq] = it->second;
+  Retransmit(dst, seq, out_.at(dst).pending.at(seq));
+  return true;
+}
+
+void Transport::Retransmit(SiteId dst, uint64_t seq, PendingSend& ps) {
+  SendPacket(dst, seq, ps.payload);
+  ++ps.sends;
+  m_retransmit_->Inc();
+  if (trace_) {
+    trace_->Instant(self_, obs::Track::kNet, "net.retransmit",
+                    ps.payload ? ps.payload->trace_id : 0, "dst", dst.value(),
+                    "seq", seq);
+  }
+}
+
 void Transport::Broadcast(EnvelopePtr payload) {
   conduit_->Broadcast(self_, std::move(payload));
 }
@@ -383,14 +402,7 @@ void Transport::OnTimer() {
     uint32_t sent = 0;
     for (auto& [seq, ps] : po.pending) {
       if (sent >= options_.retransmit_burst) break;
-      SendPacket(peer, seq, ps.payload);
-      ++ps.sends;
-      m_retransmit_->Inc();
-      if (trace_) {
-        trace_->Instant(self_, obs::Track::kNet, "net.retransmit",
-                        ps.payload ? ps.payload->trace_id : 0, "dst",
-                        peer.value(), "seq", seq);
-      }
+      Retransmit(peer, seq, ps);
       ++sent;
     }
     po.backoff_exp = std::min(po.backoff_exp + 1, uint32_t{30});

@@ -107,6 +107,13 @@ class Transport {
   /// (an ack that already completed the send is the normal case).
   void CancelReliable(uint64_t token);
 
+  /// Retransmits the live reliable send `token` now, out of its backoff
+  /// schedule: same seq and payload, so the receiver's window and the Vm
+  /// layer's filter see a duplicate, and it counts as a retransmission.
+  /// Returns false (sending nothing) for an unknown, completed or cancelled
+  /// token.
+  bool Resend(uint64_t token);
+
   /// Ordered-broadcast datagram to all other sites (Conc2's environment
   /// primitive; meaningful under synchronous link params).
   void Broadcast(EnvelopePtr payload);
@@ -217,6 +224,8 @@ class Transport {
   /// net.send trace event, and hands the packet to the network.
   void SendOnWire(Packet&& p);
   void SendPacket(SiteId dst, uint64_t seq, const EnvelopePtr& payload);
+  /// Re-sends one pending payload under its original seq and counts it.
+  void Retransmit(SiteId dst, uint64_t seq, PendingSend& ps);
   void AttachAck(Packet* p);
   /// Queues one message for `dst` and arms the zero-delay flush event.
   void Stage(SiteId dst, Reliability reliability, uint64_t seq,

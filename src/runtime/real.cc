@@ -593,9 +593,19 @@ void Real::Stop() {
 }
 
 void Real::RunOn(SiteId site, std::function<void()> fn) {
+  EventLoop& target = loop(site);
+  // Waiting on its own thread would deadlock: the closure could only run
+  // after this call returned.
+  assert(!target.OnLoopThread() && "RunOn called from the target loop");
+  if (!target.running()) {
+    // No thread to post to (not started yet, or stopped): nothing else can
+    // touch the site's state, so the caller runs it.
+    fn();
+    return;
+  }
   std::promise<void> done;
   std::future<void> wait = done.get_future();
-  loop(site).Post([&fn, &done] {
+  target.Post([&fn, &done] {
     fn();
     done.set_value();
   });

@@ -303,6 +303,8 @@ class Real {
 
   /// Runs `fn` on `site`'s loop thread and blocks until it returns. The
   /// synchronous marshalling helper drivers use to touch protocol state.
+  /// A loop that is not running runs nothing, so `fn` then runs inline on
+  /// the caller. Must not be called from `site`'s own loop thread.
   void RunOn(SiteId site, std::function<void()> fn);
 
  private:

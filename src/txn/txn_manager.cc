@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "dvpcore/operators.h"
-#include "net/backoff.h"
 #include "obs/trace.h"
 #include "placement/placement.h"
 
@@ -97,6 +96,8 @@ TxnManager::TxnManager(SiteId self, uint32_t num_sites, runtime::Runtime* rt,
       m_surplus_nack_(metrics->counter("req.surplus_nack")),
       m_nack_received_(metrics->counter("req.nack_received")),
       m_gather_nack_reask_(metrics->counter("txn.gather.nack_reask")),
+      m_gather_loss_reask_(metrics->counter("txn.gather.loss_reask")),
+      m_req_resent_outstanding_(metrics->counter("req.resent_outstanding")),
       m_multiop_committed_(metrics->counter("txn.multiop.committed")),
       m_multiop_aborted_(metrics->counter("txn.multiop.aborted")),
       m_multiop_return_(metrics->counter("txn.multiop.return_sends")),
@@ -539,6 +540,18 @@ void TxnManager::OnRequest(SiteId from, const proto::RequestMsg& msg) {
     m_req_received_->Inc();
     if (part.item.value() >= store_->num_items()) continue;
 
+    // A repeated ask (a re-asked round, or a duplicated datagram) is first
+    // answered from the grants already made to it: resending an outstanding
+    // Vm creates no value, so it needs neither the lock nor the Conc1 gate,
+    // and only the part of the ask those Vm do not cover ships anew.
+    core::Value ask = part.amount;
+    if (!part.read_all && ask > 0) {
+      uint64_t resent = 0;
+      ask -= vm_->ResendOutstanding(msg.origin, part.item, msg.txn, &resent);
+      m_req_resent_outstanding_->Inc(resent);
+      if (ask <= 0) continue;
+    }
+
     // A locked fragment means some transaction (or in-progress Rds action)
     // owns it; the request is simply not honored (§5).
     if (locks_->IsLocked(part.item)) {
@@ -581,7 +594,7 @@ void TxnManager::OnRequest(SiteId from, const proto::RequestMsg& msg) {
                     /*is_read_reply=*/true, msg.round);
       m_req_honored_read_->Inc();
     } else {
-      core::Value ship = std::min(part.amount, domain.MaxShippable(frag.value));
+      core::Value ship = std::min(ask, domain.MaxShippable(frag.value));
       if (ship <= 0) {
         m_req_ignored_empty_->Inc();
         if (msg.want_surplus_nack) {
@@ -624,6 +637,11 @@ bool TxnManager::RouteVmTransfer(SiteId from, const proto::VmTransferMsg& msg) {
   // ("it will eventually be sent again anyway") and are merged by the
   // unlocked Rds path after this transaction ends.
   if (msg.for_txn != t.id) return false;
+  if (t.rounds == 1 && !msg.is_read_reply) {
+    // A grant answering the one round-1 ask (sent at start_time): a clean
+    // round-trip sample.
+    gather_rtt_.Sample(rt_->Now() - t.start_time);
+  }
   core::Value credited = vm_->AcceptForTxn(msg);
   if (t.spec.atomic_set && credited > 0 && !msg.is_read_reply) {
     // Remember where each partial gather came from: an abort must return it
@@ -920,11 +938,19 @@ void TxnManager::ArmSnapshotRetry(PendingTxn& t) {
 void TxnManager::ArmGatherRetry(PendingTxn& t) {
   if (options_.gather_retry_us <= 0 || t.shortfall.empty()) return;
   TxnId id = t.id;
-  t.gather_retry = rt_->Schedule(options_.gather_retry_us, [this, id]() {
+  // Round 1 still short one estimated round trip after its ask has most
+  // likely lost a request or a grant (a Conc1 refusal NACKs at once): re-ask
+  // then, and the donors resend what they already granted. Later rounds keep
+  // the paced interval.
+  SimTime delay = options_.gather_retry_us;
+  if (t.rounds == 1) delay = gather_rtt_.Timeout(delay);
+  bool loss_reask = delay < options_.gather_retry_us;
+  t.gather_retry = rt_->Schedule(delay, [this, id, loss_reask]() {
     auto it = pending_.find(id);
     if (it == pending_.end()) return;
     PendingTxn& t = *it->second;
     if (t.commit_scheduled || t.shortfall.empty()) return;
+    if (loss_reask) m_gather_loss_reask_->Inc();
     RetryGather(t);
   });
 }

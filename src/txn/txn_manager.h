@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "dvpcore/value_store.h"
+#include "net/backoff.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "proto/wire.h"
@@ -81,6 +82,9 @@ struct TxnManagerOptions {
   /// Paced re-request rounds for a gather still short after the first round:
   /// every interval the *remaining* shortfall is re-sent to freshly chosen
   /// targets until the timeout decides. 0 = single round (seed behavior).
+  /// Round 1's re-ask comes sooner once the site has timed a grant: at
+  /// min(gather_retry_us, SRTT + max(1 us, 4*RTTVAR)) of the gather round
+  /// trip, so a lost request or grant costs one round trip, not one interval.
   SimTime gather_retry_us = 0;
   /// Simulated local computation between "all values gathered" and the
   /// commit-record force (§5 step 4→5). Locks stay held, so this is the
@@ -311,6 +315,11 @@ class TxnManager {
   obs::Counter* m_nack_received_;
   /// Gather rounds started by a CcNack rather than the gather-retry timer.
   obs::Counter* m_gather_nack_reask_;
+  /// Round-1 re-asks fired at the round-trip deadline, before
+  /// gather_retry_us (a request or grant presumed lost).
+  obs::Counter* m_gather_loss_reask_;
+  /// Outstanding grants retransmitted because their gather asked again.
+  obs::Counter* m_req_resent_outstanding_;
   /// Multi-item atomic-set counters. They only move on multiop code paths,
   /// so workloads without atomic sets keep byte-identical counter sets.
   obs::Counter* m_multiop_committed_;
@@ -335,6 +344,10 @@ class TxnManager {
   Histogram* h_read_retry_;
 
   std::map<TxnId, std::unique_ptr<PendingTxn>> pending_;
+  /// Site-wide gather round trip: round-1 SendRequests to a grant arriving
+  /// while the gather is still in round 1 (Karn's rule — a re-asked round
+  /// could be answering either ask). Sets round 1's re-ask deadline.
+  net::backoff::RttEstimator gather_rtt_;
 };
 
 }  // namespace dvp::txn

@@ -349,6 +349,23 @@ void VmManager::OnTransportAck(uint64_t token) {
   FinishAcked(VmId(token));
 }
 
+core::Value VmManager::ResendOutstanding(SiteId dst, ItemId item,
+                                         TxnId for_txn, uint64_t* resent) {
+  core::Value covered = 0;
+  *resent = 0;
+  for (const auto& [id, out] : outbox_) {
+    if (out.dst != dst || out.item != item || out.for_txn != for_txn ||
+        out.is_read_reply) {
+      continue;
+    }
+    covered += out.amount;
+    // Under group commit a Vm whose creation force is pending is in the
+    // outbox but not yet a live reliable send; Resend skips it.
+    if (transport_->Resend(id.value())) ++*resent;
+  }
+  return covered;
+}
+
 bool VmManager::HasOutstandingFor(ItemId item) const {
   for (const auto& [id, out] : outbox_) {
     (void)id;

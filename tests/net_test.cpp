@@ -363,6 +363,61 @@ TEST(BackoffTest, JitterNeverExceedsTheCap) {
   }
 }
 
+// The gather's round-trip estimator (RFC 6298 §2 in integer microseconds):
+// the first sample seeds SRTT = R and RTTVAR = R/2, later ones fold in with
+// gains 1/8 and 1/4, and the deadline SRTT + max(1, 4*RTTVAR) is capped.
+TEST(RttEstimatorTest, FirstSampleSetsSrttAndHalfVariance) {
+  backoff::RttEstimator rtt;
+  rtt.Sample(1'000);
+  EXPECT_TRUE(rtt.has_sample);
+  EXPECT_EQ(rtt.srtt_us, 1'000);
+  EXPECT_EQ(rtt.rttvar_us, 500);
+  EXPECT_EQ(rtt.Timeout(1'000'000), 3'000);  // 1000 + 4 * 500
+}
+
+TEST(RttEstimatorTest, IntegerUpdateRule) {
+  backoff::RttEstimator rtt;
+  rtt.Sample(1'000);
+  // RTTVAR from the old SRTT: (3*500 + |1000 - 2000|) / 4 = 625;
+  // SRTT = (7*1000 + 2000) / 8 = 1125.
+  rtt.Sample(2'000);
+  EXPECT_EQ(rtt.rttvar_us, 625);
+  EXPECT_EQ(rtt.srtt_us, 1'125);
+  // A sample below SRTT: err = 1125 - 101 = 1024; RTTVAR =
+  // (1875 + 1024) / 4 = 724 (truncated); SRTT = (7875 + 101) / 8 = 997.
+  rtt.Sample(101);
+  EXPECT_EQ(rtt.rttvar_us, 724);
+  EXPECT_EQ(rtt.srtt_us, 997);
+  EXPECT_EQ(rtt.Timeout(1'000'000), 997 + 4 * 724);
+  // Steady samples converge: truncation rounds toward the sample from
+  // above, so SRTT lands on it exactly and the variance drains to zero.
+  for (int i = 0; i < 200; ++i) rtt.Sample(400);
+  EXPECT_EQ(rtt.srtt_us, 400);
+  EXPECT_EQ(rtt.rttvar_us, 0);
+  EXPECT_EQ(rtt.Timeout(1'000'000), 401);  // the 1 us granularity term
+}
+
+TEST(RttEstimatorTest, TimeoutNeverExceedsTheCeiling) {
+  backoff::RttEstimator rtt;
+  for (SimTime r : {SimTime{5}, SimTime{90'000}, SimTime{3}, SimTime{40'000},
+                    SimTime{1'000'000}}) {
+    rtt.Sample(r);
+    EXPECT_LE(rtt.Timeout(5'000), 5'000);
+    EXPECT_LE(rtt.Timeout(1), 1);
+  }
+  // A zero round trip still yields a positive deadline.
+  backoff::RttEstimator zero;
+  zero.Sample(0);
+  EXPECT_EQ(zero.Timeout(5'000), 1);
+}
+
+TEST(RttEstimatorTest, NoSampleReturnsTheCeiling) {
+  backoff::RttEstimator rtt;
+  EXPECT_FALSE(rtt.has_sample);
+  EXPECT_EQ(rtt.Timeout(5'000), 5'000);
+  EXPECT_EQ(rtt.Timeout(0), 0);
+}
+
 // WireSize is computed once and cached; flipping a flag afterwards must not
 // re-cost the envelope (payloads are immutable once sent — the cache is the
 // contract that retransmissions and duplicates charge the original figure).
@@ -605,6 +660,41 @@ TEST_F(TransportTest, StaleEpochPacketsAreDropped) {
 TEST_F(TransportTest, CancelUnknownTokenIsNoOp) {
   transport_[0]->CancelReliable(424242);  // no crash
   EXPECT_EQ(transport_[0]->outstanding(), 0u);
+}
+
+// Resend: an out-of-schedule retransmission of one live reliable send, under
+// its original seq, so the receiver's window drops the copy.
+TEST_F(TransportTest, ResendKeepsTheSeqAndTheReceiverDedupsIt) {
+  transport_[0]->SendReliable(SiteId(1), 7, std::make_shared<TestMsg>(5));
+  kernel_.Run(1'500);  // delivered at t=1000, pure ack not yet sent
+  ASSERT_EQ(received_[1], (std::vector<int>{5}));
+  EXPECT_TRUE(transport_[0]->Resend(7));
+  EXPECT_EQ(transport_[0]->retransmissions(), 1u);
+  EXPECT_EQ(counters_[0].Get("transport.retransmit"), 1u);
+  kernel_.Run(100'000);
+  ASSERT_EQ(wire_seqs_[1].size(), 2u);
+  EXPECT_EQ(wire_seqs_[1][0], wire_seqs_[1][1]);
+  EXPECT_EQ(received_[1], (std::vector<int>{5}));  // consumed once
+  EXPECT_EQ(transport_[1]->dup_drops(), 1u);
+  EXPECT_EQ(acked_[0], (std::vector<uint64_t>{7}));
+  EXPECT_EQ(transport_[0]->outstanding(), 0u);
+}
+
+TEST_F(TransportTest, ResendOfUnknownCompletedOrCancelledTokenIsNoOp) {
+  EXPECT_FALSE(transport_[0]->Resend(424242));  // never sent
+  transport_[0]->SendReliable(SiteId(1), 8, std::make_shared<TestMsg>(6));
+  kernel_.Run(100'000);
+  ASSERT_EQ(acked_[0], (std::vector<uint64_t>{8}));
+  EXPECT_FALSE(transport_[0]->Resend(8));  // completed by the cumulative ack
+  ASSERT_TRUE(network_->partition().Split({{SiteId(0)}, {SiteId(1)}}).ok());
+  transport_[0]->SendReliable(SiteId(1), 9, std::make_shared<TestMsg>(7));
+  transport_[0]->CancelReliable(9);
+  EXPECT_FALSE(transport_[0]->Resend(9));  // cancelled
+  size_t on_wire = wire_seqs_[1].size();
+  kernel_.Run(kernel_.Now() + 100'000);
+  EXPECT_EQ(transport_[0]->retransmissions(), 0u);
+  EXPECT_EQ(wire_seqs_[1].size(), on_wire);
+  EXPECT_EQ(received_[1], (std::vector<int>{6}));
 }
 
 // ---- Coalescing ------------------------------------------------------------

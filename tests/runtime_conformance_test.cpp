@@ -7,7 +7,8 @@
 // The real-only tests at the bottom exercise what the sim cannot: actual
 // threads, actual loopback UDP, actual loss — and check that the transport's
 // retransmission/dedup machinery delivers reliable payloads exactly once
-// across an injected-drop conduit.
+// across an injected-drop conduit, and that RunOn never waits on a loop
+// with no thread to run it.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -212,6 +213,32 @@ TEST_P(RuntimeConformanceTest, StorageForceThenCrashKeepsDurablePrefix) {
 INSTANTIATE_TEST_SUITE_P(Backends, RuntimeConformanceTest,
                          ::testing::Values(Backend::kSim, Backend::kReal),
                          BackendName);
+
+// ---- Real-runtime-only: RunOn on a loop that is not running ---------------
+
+/// A loop that is not running has no thread to run a posted closure, so
+/// RunOn must run it inline on the caller instead of waiting forever: before
+/// Start() (set-up) and after Stop() (reading final state).
+TEST(RealRuntimeTest, RunOnALoopThatIsNotRunningRunsInline) {
+  runtime::Real real(2);
+  std::thread::id ran_on;
+  real.RunOn(SiteId(1), [&] { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+
+  real.Start();
+  real.RunOn(SiteId(1), [&] { ran_on = std::this_thread::get_id(); });
+  EXPECT_NE(ran_on, std::this_thread::get_id());  // the loop thread ran it
+  real.Stop();
+
+  int runs = 0;
+  real.RunOn(SiteId(0), [&] { ++runs; });
+  real.RunOn(SiteId(1), [&] {
+    ++runs;
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
 
 // ---- Real-runtime-only: the transport over actual lossy UDP ----------------
 

@@ -348,6 +348,133 @@ TEST_F(TxnProtocolTest, Conc1NackForAnotherRoundOrAScheduledCommitSendsNothing) 
   EXPECT_TRUE(cluster_->AuditAll().ok());
 }
 
+// ---- Loss recovery: the round-trip-scaled first re-ask --------------------
+//
+// Two sites on synchronous 1 ms links, so every gather round trip is exactly
+// 2 ms. A warm-up gather gives site 0's estimator its one sample (SRTT 2 ms,
+// RTTVAR 1 ms: round 1 re-asks after 6 ms); then one direction drops
+// everything while a gather's round 1 crosses it.
+class GatherLossTest : public TxnProtocolTest {
+ protected:
+  static constexpr SimTime kPacedUs = 100'000;
+
+  void BuildTwoSites(SimTime gather_retry_us, bool warm) {
+    system::ClusterOptions opts;
+    opts.num_sites = 2;
+    opts.link = net::LinkParams::Synchronous(1'000);
+    opts.site.txn.gather_retry_us = gather_retry_us;
+    link_ = opts.link;
+    Build(opts);  // 200 units per site
+    TxnSpec drain;
+    drain.ops = {TxnOp::Decrement(item_, 200)};
+    ASSERT_EQ(SubmitAndRun(SiteId(0), drain).outcome, TxnOutcome::kCommitted);
+    if (warm) {
+      TxnResult w = SubmitAndRun(SiteId(0), Need());
+      ASSERT_EQ(w.outcome, TxnOutcome::kCommitted);
+      ASSERT_EQ(w.rounds, 1u);
+      ASSERT_EQ(w.latency_us, 2'000);
+    }
+  }
+
+  TxnSpec Need() const {
+    TxnSpec need;
+    need.ops = {TxnOp::Decrement(item_, 10)};
+    return need;
+  }
+
+  /// Submits Need() at site 0 with the `from -> to` link dropping every
+  /// packet for the first `cut_us`, then runs until decided.
+  TxnResult RunWithCut(SiteId from, SiteId to, SimTime cut_us) {
+    net::LinkParams lossy = link_;
+    lossy.loss_prob = 1.0;
+    cluster_->network().SetLinkParams(from, to, lossy);
+    TxnResult r;
+    bool done = false;
+    EXPECT_TRUE(cluster_
+                    ->Submit(SiteId(0), Need(),
+                             [&](const TxnResult& res) {
+                               r = res;
+                               done = true;
+                             })
+                    .ok());
+    cluster_->RunFor(cut_us);
+    cluster_->network().SetLinkParams(from, to, link_);
+    cluster_->RunFor(2'000'000);
+    EXPECT_TRUE(done);
+    return r;
+  }
+
+  uint64_t Count(const char* name) {
+    return cluster_->AggregateCounters().Get(name);
+  }
+
+  net::LinkParams link_;
+};
+
+// A lost round-1 request: the gather re-asks one estimated round trip after
+// it (6 ms), not at the 100 ms paced interval.
+TEST_F(GatherLossTest, DroppedRequestIsReaskedAtTheRoundTripDeadline) {
+  BuildTwoSites(kPacedUs, /*warm=*/true);
+  TxnResult r = RunWithCut(SiteId(0), SiteId(1), 500);
+  EXPECT_EQ(r.outcome, TxnOutcome::kCommitted);
+  EXPECT_EQ(r.rounds, 2u);
+  EXPECT_EQ(r.latency_us, 6'000 + 2'000);
+  EXPECT_LT(r.latency_us, kPacedUs);
+  EXPECT_EQ(Count("txn.gather.loss_reask"), 1u);
+  EXPECT_EQ(Count("txn.gather.nack_reask"), 0u);
+  EXPECT_EQ(Count("req.resent_outstanding"), 0u);  // nothing was granted
+  EXPECT_TRUE(cluster_->AuditAll().ok());
+}
+
+// A lost grant: the re-ask reaches the donor while its Vm is still
+// outstanding, so the donor retransmits that Vm instead of shipping again.
+// The value moves once, under one VmId.
+TEST_F(GatherLossTest, DroppedGrantIsRecoveredByResendingTheSameVm) {
+  BuildTwoSites(kPacedUs, /*warm=*/true);
+  core::Value donor_before = cluster_->site(SiteId(1)).LocalValue(item_);
+  uint64_t created_before = Count("vm.created");
+  uint64_t accepted_before = Count("vm.accepted");
+  // The grant leaves site 1 at t+1 ms; the cut swallows it.
+  TxnResult r = RunWithCut(SiteId(1), SiteId(0), 1'500);
+  EXPECT_EQ(r.outcome, TxnOutcome::kCommitted);
+  EXPECT_EQ(r.rounds, 2u);
+  // Re-ask at 6 ms, resend at 7 ms, lands at 8 ms.
+  EXPECT_EQ(r.latency_us, 8'000);
+  EXPECT_EQ(Count("txn.gather.loss_reask"), 1u);
+  EXPECT_EQ(Count("req.resent_outstanding"), 1u);
+  EXPECT_EQ(Count("vm.created") - created_before, 1u);  // one VmId
+  EXPECT_EQ(Count("vm.accepted") - accepted_before, 1u);
+  EXPECT_EQ(Count("vm.duplicate"), 0u);
+  // The donor's fragment was debited once, by the ask's 10 units.
+  EXPECT_EQ(cluster_->site(SiteId(1)).LocalValue(item_), donor_before - 10);
+  EXPECT_EQ(cluster_->site(SiteId(0)).LocalValue(item_), 0);
+  EXPECT_TRUE(cluster_->AuditAll().ok());
+}
+
+// Without a sample the estimator has nothing to scale by: the re-ask waits
+// for the paced timer, as before.
+TEST_F(GatherLossTest, WithoutASampleTheReaskComesFromTheTimer) {
+  BuildTwoSites(kPacedUs, /*warm=*/false);
+  TxnResult r = RunWithCut(SiteId(0), SiteId(1), 500);
+  EXPECT_EQ(r.outcome, TxnOutcome::kCommitted);
+  EXPECT_EQ(r.rounds, 2u);
+  EXPECT_EQ(r.latency_us, kPacedUs + 2'000);
+  EXPECT_EQ(Count("txn.gather.loss_reask"), 0u);
+  EXPECT_TRUE(cluster_->AuditAll().ok());
+}
+
+// gather_retry_us == 0 keeps the gather to one round even with a sample: the
+// lost request costs the transaction its timeout.
+TEST_F(GatherLossTest, ZeroGatherRetryStaysSingleRound) {
+  BuildTwoSites(0, /*warm=*/true);
+  TxnResult r = RunWithCut(SiteId(0), SiteId(1), 500);
+  EXPECT_EQ(r.outcome, TxnOutcome::kAbortTimeout);
+  EXPECT_EQ(r.rounds, 1u);
+  EXPECT_EQ(Count("txn.gather.loss_reask"), 0u);
+  EXPECT_EQ(Count("req.msgs"), 2u);  // warm-up + the one lost ask
+  EXPECT_TRUE(cluster_->AuditAll().ok());
+}
+
 TEST_F(TxnProtocolTest, Conc2CommitsWhereConc1WouldReject) {
   system::ClusterOptions opts;
   opts.UseConc2();
